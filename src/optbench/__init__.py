@@ -3,7 +3,7 @@ synthetic least-squares experiment harness."""
 
 __version__ = "0.1.0"
 
-from .linalg import haar_orthogonal, householder_qr, jacobi_eigh, project_box
+from .linalg import haar_orthogonal, householder_qr, jacobi_eigh, project_box, sym_eigh
 from .optim import ALGORITHMS, BoxConstrained, OptimizerConfig, make_optimizer
 from .problems import (
     GenSpec,
@@ -53,4 +53,5 @@ __all__ = [
     "ridge_solution",
     "run_trajectory",
     "stochastic_gradient",
+    "sym_eigh",
 ]

@@ -99,10 +99,12 @@ def _parse_value(raw: str, template):
         if low in ("false", "0", "no"):
             return False
         raise UsageError(f"cannot parse boolean from {raw!r}")
-    if isinstance(template, int):
-        return int(raw)
-    if isinstance(template, float):
-        return float(raw)
+    if isinstance(template, (int, float)):
+        try:
+            return type(template)(raw)
+        except ValueError:
+            kind = type(template).__name__
+            raise UsageError(f"cannot parse {kind} from {raw!r}") from None
     if isinstance(template, tuple):
         parts = [p for p in raw.split(",") if p != ""]
         if not parts:
@@ -380,3 +382,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

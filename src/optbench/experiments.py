@@ -17,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sp_stats
 
-from .linalg import haar_orthogonal, jacobi_eigh
+from .linalg import haar_orthogonal, sym_eigh
 from .optim import BoxConstrained, OptimizerConfig, make_optimizer
 from .problems import (
     RANK_CUTOFF,
-    SOLVE_EIG_TOL,
     GenSpec,
     QuadraticProblem,
     full_gradient,
     full_loss,
     generate_least_squares,
+    lstsq_min_norm,
     make_online_problem,
     make_rotated_2d,
     min_norm_solution,
@@ -760,19 +760,6 @@ class StabilityReport:
     swaps: int
 
 
-def _exact_solution(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares solution of smallest norm via the spectral pseudoinverse."""
-    q, lam = jacobi_eigh(x.T @ x, tol_factor=SOLVE_EIG_TOL)
-    lmax = float(lam[0]) if lam.size else 0.0
-    if lmax <= 0:
-        return np.zeros(x.shape[1])
-    keep = lam > RANK_CUTOFF * lmax
-    w = q @ (x.T @ y)
-    coeff = np.zeros_like(w)
-    coeff[keep] = w[keep] / lam[keep]
-    return q.T @ coeff
-
-
 def swap_change(
     x: np.ndarray,
     y: np.ndarray,
@@ -790,7 +777,7 @@ def swap_change(
     y_swap = y.copy()
     x_swap[i] = new_row
     y_swap[i] = new_y
-    theta_swap = _exact_solution(x_swap, y_swap)
+    theta_swap = lstsq_min_norm(x_swap, y_swap)
     diff = q @ (theta - theta_swap)
     return np.abs(diff), lam * diff ** 2
 
@@ -828,8 +815,8 @@ def stability_swap(
     x_all = (z * np.sqrt(row_spectrum)) @ q_gen
     y_all = rng.normal(0.0, y_std, size=n + swaps)
     x, y = x_all[:n], y_all[:n]
-    q, lam = jacobi_eigh(x.T @ x)
-    theta = _exact_solution(x, y)
+    q, lam = sym_eigh(x.T @ x)
+    theta = lstsq_min_norm(x, y, eig=(q, lam))
     abs_sum = np.zeros(d)
     loss_sum = np.zeros(d)
     for k in range(swaps):

@@ -22,6 +22,7 @@ moment is exactly zero the adasgd/adasgdmax step is skipped (the update is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -42,12 +43,12 @@ class OptimizerConfig:
     gamma: float | None = None
 
     def validate(self) -> None:
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError("eta must be positive and finite")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("beta1, beta2 must lie in [0, 1)")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("epsilon must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import haar_frame, haar_orthogonal, jacobi_eigh, project_box
+from .linalg import haar_frame, haar_orthogonal, project_box, sym_eigh
 
 # Eigenvalues below RANK_CUTOFF * lambda_max count as zero for pseudoinverse
 # and row-space purposes.
@@ -25,9 +25,6 @@ RANK_CUTOFF = 1e-10
 # eigenvectors determined only to eps * lambda_max / lambda, which breaks the
 # null-orthogonality guarantee of the pseudoinverse.
 ZERO_SPECTRUM_FLOOR = 1e-6
-# Pseudoinverse solves push the eigensolver to machine precision so that
-# small-eigenvalue eigenvectors stay orthogonal to the structural null space.
-SOLVE_EIG_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -66,6 +63,7 @@ class GenSpec:
             "lambda_min": self.lambda_min,
             "y_std": self.y_std,
             "angle_2d": self.angle_2d,
+            "axis_aligned": self.axis_aligned,
         }
 
     @classmethod
@@ -198,14 +196,14 @@ def problem_from_data(x: np.ndarray, y: np.ndarray) -> QuadraticProblem:
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("expected X (n, d) and y (n,)")
-    q, lam = jacobi_eigh(x.T @ x)
+    q, lam = sym_eigh(x.T @ x)
     lam = np.maximum(lam, 0.0)
     lambda_max = float(lam[0])
     lambda_min = float(lam[-1])
     theta_star = None
     cond = np.inf
     if lambda_max > 0 and lambda_min > RANK_CUTOFF * lambda_max:
-        theta_star = q.T @ ((q @ (x.T @ y)) / lam)
+        theta_star = lstsq_min_norm(x, y, eig=(q, lam))
         cond = lambda_max / lambda_min
     else:
         lambda_min = 0.0
@@ -245,19 +243,32 @@ def stochastic_gradient(
     return p.n * xi * (float(xi @ theta) - p.y[i])
 
 
-def min_norm_solution(p: QuadraticProblem, *, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:
-    """Least-squares minimizer of smallest Euclidean norm, via the spectral
-    pseudoinverse of X.T X; eigenvalues below rank_cutoff * lambda_max are
-    treated as zero."""
-    q, lam = jacobi_eigh(p.x.T @ p.x, tol_factor=SOLVE_EIG_TOL)
-    lmax = float(lam[0]) if lam.size else 0.0
+def lstsq_min_norm(
+    x: np.ndarray,
+    y: np.ndarray,
+    *,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
+    rank_cutoff: float = RANK_CUTOFF,
+) -> np.ndarray:
+    """Least-squares minimizer of smallest Euclidean norm for raw data, via the
+    spectral pseudoinverse of X.T X; eigenvalues below rank_cutoff * lambda_max
+    are treated as zero.  eig = (q, lam) reuses a sym_eigh decomposition of
+    X.T X instead of computing one."""
+    q, lam = sym_eigh(x.T @ x) if eig is None else eig
+    lmax = float(lam[0])
     if lmax <= 0:
-        return np.zeros(p.d)
+        return np.zeros(x.shape[1])
     keep = lam > rank_cutoff * lmax
-    w = q @ (p.x.T @ p.y)
+    w = q @ (x.T @ y)
     coeff = np.zeros_like(w)
     coeff[keep] = w[keep] / lam[keep]
     return q.T @ coeff
+
+
+def min_norm_solution(p: QuadraticProblem, *, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:
+    """Least-squares minimizer of smallest Euclidean norm of the problem's
+    data (lstsq_min_norm on p.x, p.y)."""
+    return lstsq_min_norm(p.x, p.y, rank_cutoff=rank_cutoff)
 
 
 def ridge_solution(p: QuadraticProblem, alpha: float) -> np.ndarray:

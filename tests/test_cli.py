@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import optbench
 from optbench.cli import (
     DEFAULTS,
     PRESETS,
@@ -101,6 +105,22 @@ class TestMain:
                      "--set", "nope=3"])
         assert code == 2
 
+    @pytest.mark.parametrize("override", ["steps=1e3", "eta=fast", "eta=nan"])
+    def test_bad_numeric_override_is_usage_error(self, tmp_path, capsys, override):
+        code = main(["trajectory", "--seed", "1", "--out", str(tmp_path),
+                     "--set", "steps=5", "--set", override])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(optbench.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-m", "optbench.cli"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: optbench")
+
     def test_align_mc_run_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["align-mc", "--preset", "desk", "--seed", "7", "--out", str(out),
@@ -187,6 +207,18 @@ class TestMain:
             assert main(args_template + ["--out", str(out)]) == 0
             outs.append(read(out / "align-mc.csv"))
         assert outs[0] == outs[1]
+
+    def test_heatmap_bytes_independent_of_workers(self, tmp_path, capsys):
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["heatmap", "--seed", "4", "--out", str(out), "--workers", workers,
+                         "--set", "lambda_max_values=1,1e6", "--set", "cond_values=1,1e4",
+                         "--set", "seeds=1", "--set", "steps=30", "--set", "d=4",
+                         "--set", "n=40"]) == 0
+            outs.append(read(out / "heatmap.csv"))
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 1 + 4 * 2 * 2
 
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         target = tmp_path / "file"

@@ -29,9 +29,9 @@ from optbench.experiments import (
     sweep_angle,
     sweep_heatmap,
 )
-from optbench.linalg import jacobi_eigh
+from optbench.linalg import sym_eigh
 from optbench.optim import OptimizerConfig
-from optbench.problems import GenSpec, generate_least_squares
+from optbench.problems import GenSpec, generate_least_squares, lstsq_min_norm
 
 
 def small_problem(seed=0, d=2, cond=10.0, n=None):
@@ -257,13 +257,11 @@ class TestRidgePath:
 
 class TestStability:
     def test_identity_swap_is_exactly_zero(self):
-        from optbench.experiments import _exact_solution
-
         rng = derive_rng(0, 99)
         x = rng.standard_normal((20, 4))
         y = rng.standard_normal(20)
-        q, lam = jacobi_eigh(x.T @ x)
-        theta = _exact_solution(x, y)
+        q, lam = sym_eigh(x.T @ x)
+        theta = lstsq_min_norm(x, y, eig=(q, lam))
         abs_change, loss_change = swap_change(x, y, 3, x[3].copy(), y[3], q, lam, theta)
         np.testing.assert_array_equal(abs_change, np.zeros(4))
         np.testing.assert_array_equal(loss_change, np.zeros(4))

@@ -8,6 +8,7 @@ from optbench.linalg import (
     householder_qr,
     jacobi_eigh,
     project_box,
+    sym_eigh,
 )
 
 
@@ -144,6 +145,71 @@ class TestJacobi:
         q, lam = jacobi_eigh(np.zeros((3, 3)))
         np.testing.assert_array_equal(lam, np.zeros(3))
         np.testing.assert_array_equal(q, np.eye(3))
+
+
+def _oracle_matrix(kind, d):
+    """An indefinite random symmetric matrix, or a Gram matrix whose column
+    scales spread its spectrum over four decades (the stability use case)."""
+    rng = np.random.default_rng(d)
+    if kind == "indefinite":
+        a = rng.standard_normal((d, d))
+        return a + a.T
+    x = rng.standard_normal((2 * d, d)) * np.geomspace(1.0, 1e-2, d)
+    return x.T @ x
+
+
+class TestSymEigh:
+    """sym_eigh (LAPACK) against jacobi_eigh as the oracle."""
+
+    @pytest.mark.parametrize("kind", ["indefinite", "gram"])
+    @pytest.mark.parametrize("d", [10, 50, 100])
+    def test_agrees_with_jacobi(self, d, kind):
+        s = _oracle_matrix(kind, d)
+        q, lam = sym_eigh(s)
+        q_ref, lam_ref = jacobi_eigh(s)
+        norm = np.max(np.abs(lam_ref))
+        assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * norm
+        assert np.all(np.diff(lam) <= 0)
+        assert np.max(np.abs(q.T @ np.diag(lam) @ q - s)) <= 1e-12 * norm
+        assert np.max(np.abs(q @ q.T - np.eye(d))) <= 1e-12
+        # Eigenvectors agree up to sign, to within the perturbation bound
+        # eps * ||s|| / gap: clustered eigenvalues leave their vectors loose.
+        gaps = np.array([np.min(np.abs(np.delete(lam_ref, j) - lam_ref[j]))
+                         for j in range(d)])
+        signs = np.sign(np.sum(q * q_ref, axis=1))
+        err = np.linalg.norm(q - signs[:, None] * q_ref, axis=1)
+        assert np.all(err <= 1e-10 * norm / gaps)
+
+    def test_zero_rows_deflate_to_axis_vectors(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((12, 7))
+        dead = [1, 4, 5]
+        x[:, dead] = 0.0
+        q, lam = sym_eigh(x.T @ x)
+        assert np.all(lam[:4] > 0)
+        np.testing.assert_array_equal(lam[4:], np.zeros(3))
+        np.testing.assert_array_equal(q[4:], np.eye(7)[dead])
+        np.testing.assert_array_equal(q[:4, dead], np.zeros((4, 3)))
+        q_ref, lam_ref = jacobi_eigh(x.T @ x)
+        np.testing.assert_array_equal(lam_ref[4:], lam[4:])
+        np.testing.assert_array_equal(q_ref[4:], q[4:])
+
+    def test_zero_matrix(self):
+        q, lam = sym_eigh(np.zeros((3, 3)))
+        np.testing.assert_array_equal(lam, np.zeros(3))
+        np.testing.assert_array_equal(q, np.eye(3))
+
+    @pytest.mark.parametrize("value", [-2.5, 0.0, 3.0])
+    def test_one_by_one(self, value):
+        q, lam = sym_eigh(np.array([[value]]))
+        np.testing.assert_array_equal(lam, [value])
+        np.testing.assert_array_equal(np.abs(q), [[1.0]])
+
+    @pytest.mark.parametrize("bad", [np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros((0, 0)),
+                                     np.zeros((2, 3))])
+    def test_invalid_input_rejected(self, bad):
+        with pytest.raises(ValueError):
+            sym_eigh(bad)
 
 
 class TestProjectBox:

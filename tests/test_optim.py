@@ -267,6 +267,14 @@ class TestSharedBehavior:
             assert np.all(rates > 0)
             theta = new
 
+    @pytest.mark.parametrize("field, value", [
+        ("eta", math.nan), ("eta", math.inf), ("eta", 0.0),
+        ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -1e-8),
+    ])
+    def test_config_rejects_non_finite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError):
+            cfg(**{field: value}).validate()
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             make_optimizer("sgdm", 2, cfg())

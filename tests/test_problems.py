@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from optbench.problems import (
     GenSpec,
+    QuadraticProblem,
     exponential_oracle,
     full_gradient,
     full_loss,
@@ -84,6 +87,20 @@ class TestGeneration:
         p2 = p.from_json(p.to_json())
         np.testing.assert_array_equal(p.x, p2.x)
         np.testing.assert_array_equal(p.y, p2.y)
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(n=20, d=5, lambda_max=10.0, lambda_min=0.5, y_std=2.0),
+        GenSpec(n=30, d=6, lambda_max=10.0, lambda_min=1.0, axis_aligned=True),
+        GenSpec(n=40, d=2, lambda_max=8.0, lambda_min=2.0, angle_2d=30.0),
+        GenSpec(n=4, d=6, lambda_max=3.0, lambda_min=0.0),
+    ], ids=["y_std", "axis_aligned", "angle_2d", "degenerate"])
+    def test_json_roundtrip_every_spec_field(self, spec):
+        assert set(spec.to_dict()) == {f.name for f in dataclasses.fields(GenSpec)}
+        p = generate_from_seed(spec, 7)
+        p2 = QuadraticProblem.from_json(p.to_json())
+        assert p2.spec == spec
+        for name in ("x", "y", "q"):
+            assert getattr(p2, name).tobytes() == getattr(p, name).tobytes(), name
 
     def test_axis_aligned(self):
         spec = GenSpec(n=30, d=6, lambda_max=10.0, lambda_min=1.0, axis_aligned=True)
