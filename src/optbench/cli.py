@@ -10,75 +10,77 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import experiments as ex
-from .optim import OptimizerConfig
-from .problems import GenSpec, generate_least_squares
 
 
 class UsageError(Exception):
     pass
 
 
-class CheckFailure(Exception):
-    pass
+class Command(NamedTuple):
+    """One subcommand: the name of its runner in optbench.experiments, looked
+    up at each run so that a rebound module attribute is the one called; the
+    CSV header of each output file, in the order the runner returns the
+    tables; and whether the runner returns (rows, check failures)."""
+
+    runner: str
+    outputs: dict[str, str]
+    checks: bool = False
 
 
-SUBCOMMANDS = (
-    "angle", "heatmap", "minnorm", "ridge-path", "regret",
-    "stability", "theorem-range", "distance-bound", "align-mc", "trajectory",
-)
-
-# Desk-scale defaults; presets and --set overrides layer on top.
-DEFAULTS: dict[str, dict] = {
-    "angle": {
-        "angles": tuple(float(a) for a in range(0, 50, 5)),
-        "cond": 1e4, "lambda_min": 1.0, "seeds": 30, "steps": 3000, "n": 300,
-    },
-    "heatmap": {
-        "lambda_max_values": (1.0, 1e2, 1e4, 1e6),
-        "cond_values": (1.0, 1e2, 1e4, 1e6),
-        "seeds": 5, "steps": 1500, "d": 30, "n": 300,
-    },
-    "minnorm": {"n": 40, "d": 2, "lambda_max": 10.0, "steps": 1500},
-    "ridge-path": {
-        "pool_n": 300, "train_n": 10, "d": 2, "lambda_min": 1.0, "lambda_max": 10.0,
-        "seeds": 50, "steps": 1500, "snapshot_stride": 10, "recursion_steps": 200,
-    },
-    "regret": {
-        "kinds": ("linear-adversarial", "quadratic-tracking"),
-        "schedules": ("theorem", "corollary"),
-        "t_values": (100, 1000, 10000),
-        "d": 4, "box_halfwidth": 1.0, "g_bound": 1.0, "eta": 1.0, "seeds": 5,
-    },
-    "stability": {
-        "n": 500, "d": 50, "swaps": 10, "seeds": 5, "lambda_max": 100.0, "cond": 1e4,
-        "degenerate_n": 30, "degenerate_d": 50, "degenerate_rank": 25,
-    },
-    "theorem-range": {
-        "d": 10, "cond": 1e4, "eta_multipliers": (1e-3, 1.0, 1e3),
-        "lambda_max": 1.0, "steps": 50000, "tol": 1e-8,
-    },
-    "distance-bound": {
-        "d_values": (2, 20), "cond_values": (10.0, 1e3), "eta_values": (1e-4, 1e-2, 1.0),
-        "lambda_max": 1.0, "steps": 50000, "bound_scale": 1.0,
-    },
-    "align-mc": {"dims": (2, 10, 50, 200), "samples_per_dim": 10000, "threshold_deg": 15.0},
-    "trajectory": {
-        "algo": "adam", "eta": 0.1, "beta1": 0.9, "d": 30, "n": 90,
-        "lambda_max": 1.0, "cond": 1e4, "steps": 1500, "stochastic": True,
-    },
+COMMANDS: dict[str, Command] = {
+    "angle": Command("sweep_angle", {"angle.csv": "optimizer,angle_deg,seed,regret_in_loss"}),
+    "heatmap": Command("sweep_heatmap", {
+        "heatmap.csv": "optimizer,lambda_max,cond,seed,log10_loss"}),
+    "minnorm": Command("minnorm_experiment", {
+        "minnorm.csv": "optimizer,max_null_component,final_null_component,distance_to_min_norm"}),
+    "ridge-path": Command("ridge_path_experiment", {
+        "ridge-path.csv": "optimizer,seed,path_discrepancy",
+        "ridge-path-recursion.csv": "optimizer,max_recursion_residual"}),
+    "regret": Command("check_regret_bound", {
+        "regret.csv": "kind,schedule,seed,horizon,regret,bound,ratio,regret_per_round,ok"},
+        checks=True),
+    "stability": Command("stability_experiment", {
+        "stability.csv": "variant,seed,eig_index,eigenvalue,mean_abs_change,mean_loss_change",
+        "stability-summary.csv": "variant,seed,spearman"}),
+    "theorem-range": Command("check_theorem_convergence_range", {
+        "theorem-range.csv": "eta_multiplier,eta,converged,final_regret,eta_reductions,"
+                             "eta_monotone,eta_constant_after_entry,edge_case,ok"}, checks=True),
+    "distance-bound": Command("check_distance_bound", {
+        "distance-bound.csv": "d,cond,eta,distance,bound,ratio,ok"}, checks=True),
+    "align-mc": Command("alignment_experiment", {
+        "align-mc.csv": "d,rows_sampled,median_angle_deg,frac_below_threshold,"
+                        "exact_frac_below_threshold"}),
+    "trajectory": Command("trajectory_experiment", {"trajectory.csv": "t,loss,eta_t,grad_norm"}),
 }
+
+
+def defaults(subcommand: str) -> dict:
+    """The subcommand's keys and their desk-scale defaults: every keyword-only
+    argument of its runner whose default is a scalar or a non-empty tuple of
+    scalars, except ``workers``."""
+    runner = getattr(ex, COMMANDS[subcommand].runner)
+    keys = {}
+    for name, param in inspect.signature(runner).parameters.items():
+        values = param.default if isinstance(param.default, tuple) else (param.default,)
+        if (param.kind is param.KEYWORD_ONLY and name != "workers" and values
+                and all(isinstance(v, (bool, int, float, str)) for v in values)):
+            keys[name] = param.default
+    return keys
+
 
 # Named parameter bundles; figure presets carry the reference experiment sizes.
 PRESETS: dict[str, dict[str, dict]] = {
-    "desk": {cmd: {} for cmd in SUBCOMMANDS},
+    "desk": {cmd: {} for cmd in COMMANDS},
     "paper-fig3": {
         "heatmap": {
             "lambda_max_values": (1.0, 1e2, 1e4, 1e6, 1e8),
@@ -109,16 +111,31 @@ def _parse_value(raw: str, template):
         parts = [p for p in raw.split(",") if p != ""]
         if not parts:
             raise UsageError("empty list value")
-        elem = template[0] if template else 0.0
-        return tuple(_parse_value(p, elem) for p in parts)
+        return tuple(_parse_value(p, template[0]) for p in parts)
     return raw
+
+
+def _check_file_value(key: str, value, template):
+    """A --config value with the JSON type of the key's default: a bool, an
+    integer, a number (made a float), a string, or a non-empty list of one of
+    these for a tuple."""
+    if isinstance(template, tuple):
+        if isinstance(value, list) and value:
+            return tuple(_check_file_value(key, v, template[0]) for v in value)
+    elif type(value) is type(template):
+        return value
+    elif type(template) is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    kind = (f"a non-empty list of {type(template[0]).__name__}"
+            if isinstance(template, tuple) else type(template).__name__)
+    raise UsageError(f"config key {key!r} expects {kind}, got {value!r}")
 
 
 def resolve_params(subcommand: str, preset: str | None, file_params: dict,
                    overrides: list[str]) -> tuple[dict, dict]:
     """Layer preset, config-file values, and --set overrides onto the
-    subcommand defaults; unknown keys are rejected."""
-    params = dict(DEFAULTS[subcommand])
+    subcommand defaults; unknown keys and ill-typed values are rejected."""
+    params = defaults(subcommand)
     if preset is not None:
         if preset not in PRESETS:
             raise UsageError(f"unknown preset {preset!r}")
@@ -129,7 +146,7 @@ def resolve_params(subcommand: str, preset: str | None, file_params: dict,
     for key, value in file_params.items():
         if key not in params:
             raise UsageError(f"unknown config key {key!r} for {subcommand!r}")
-        params[key] = tuple(value) if isinstance(params[key], tuple) else value
+        params[key] = _check_file_value(key, value, params[key])
     applied: dict[str, object] = {}
     for item in overrides:
         if "=" not in item:
@@ -176,120 +193,23 @@ def _jsonable(value):
     return value
 
 
-def _run_subcommand(subcommand: str, params: dict, seed: int, workers: int
-                    ) -> tuple[dict[str, tuple[list[dict], list[str]]], list[str]]:
-    """Returns {filename: (records, fieldnames)} plus check failures."""
-    p = params
-    failures: list[str] = []
-    out: dict[str, tuple[list[dict], list[str]]] = {}
-    if subcommand == "heatmap":
-        grid = ex.SweepGrid(
-            lambda_max_values=tuple(p["lambda_max_values"]),
-            cond_values=tuple(p["cond_values"]),
-            seeds=p["seeds"], steps=p["steps"], d=p["d"], n=p["n"],
-            roster=ex.HEATMAP_ROSTER)
-        records = ex.sweep_heatmap(grid, seed, workers=workers)
-        out["heatmap.csv"] = (records, ["optimizer", "lambda_max", "cond", "seed", "log10_loss"])
-    elif subcommand == "angle":
-        records = ex.sweep_angle(
-            seed, angles=tuple(p["angles"]), cond=p["cond"], lambda_min=p["lambda_min"],
-            seeds=p["seeds"], steps=p["steps"], n=p["n"], workers=workers)
-        out["angle.csv"] = (records, ["optimizer", "angle_deg", "seed", "regret_in_loss"])
-    elif subcommand == "minnorm":
-        records = ex.minnorm_experiment(
-            seed, n=p["n"], d=p["d"], lambda_max=p["lambda_max"], steps=p["steps"])
-        out["minnorm.csv"] = (records, ["optimizer", "max_null_component",
-                                        "final_null_component", "distance_to_min_norm"])
-    elif subcommand == "ridge-path":
-        rows, recursion = ex.ridge_path_experiment(
-            seed, pool_n=p["pool_n"], train_n=p["train_n"], d=p["d"],
-            lambda_min=p["lambda_min"], lambda_max=p["lambda_max"], seeds=p["seeds"],
-            steps=p["steps"], snapshot_stride=p["snapshot_stride"],
-            recursion_steps=p["recursion_steps"])
-        out["ridge-path.csv"] = (rows, ["optimizer", "seed", "path_discrepancy"])
-        out["ridge-path-recursion.csv"] = (recursion, ["optimizer", "max_recursion_residual"])
-    elif subcommand == "regret":
-        rows, failures = ex.check_regret_bound(
-            seed, kinds=tuple(p["kinds"]), schedules=tuple(p["schedules"]),
-            t_values=tuple(p["t_values"]), d=p["d"], box_halfwidth=p["box_halfwidth"],
-            g_bound=p["g_bound"], eta=p["eta"], seeds=p["seeds"])
-        out["regret.csv"] = (rows, ["kind", "schedule", "seed", "horizon", "regret",
-                                    "bound", "ratio", "regret_per_round", "ok"])
-    elif subcommand == "stability":
-        detail: list[dict] = []
-        summary: list[dict] = []
-        for variant, (n, d, rank) in (
-            ("invertible", (p["n"], p["d"], None)),
-            ("degenerate", (p["degenerate_n"], p["degenerate_d"], p["degenerate_rank"])),
-        ):
-            for s in range(p["seeds"]):
-                rng = ex.derive_rng(seed, 70 if variant == "invertible" else 71, s)
-                report = ex.stability_swap(n, d, p["swaps"], rng,
-                                           lambda_max=p["lambda_max"], cond=p["cond"],
-                                           rank=rank)
-                for j in range(d):
-                    detail.append({
-                        "variant": variant, "seed": s, "eig_index": j,
-                        "eigenvalue": report.eigenvalues[j],
-                        "mean_abs_change": report.mean_abs_change[j],
-                        "mean_loss_change": report.mean_loss_change[j],
-                    })
-                summary.append({"variant": variant, "seed": s,
-                                "spearman": ex.stability_spearman(report)})
-        out["stability.csv"] = (detail, ["variant", "seed", "eig_index", "eigenvalue",
-                                         "mean_abs_change", "mean_loss_change"])
-        out["stability-summary.csv"] = (summary, ["variant", "seed", "spearman"])
-    elif subcommand == "theorem-range":
-        rows, failures = ex.check_theorem_convergence_range(
-            seed, d=p["d"], cond=p["cond"], eta_multipliers=tuple(p["eta_multipliers"]),
-            lambda_max=p["lambda_max"], steps=p["steps"], tol=p["tol"])
-        out["theorem-range.csv"] = (rows, ["eta_multiplier", "eta", "converged",
-                                           "final_regret", "eta_reductions", "eta_monotone",
-                                           "eta_constant_after_entry", "edge_case", "ok"])
-    elif subcommand == "distance-bound":
-        rows, failures = ex.check_distance_bound(
-            seed, d_values=tuple(p["d_values"]), cond_values=tuple(p["cond_values"]),
-            eta_values=tuple(p["eta_values"]), lambda_max=p["lambda_max"],
-            steps=p["steps"], bound_scale=p["bound_scale"])
-        out["distance-bound.csv"] = (rows, ["d", "cond", "eta", "distance", "bound",
-                                            "ratio", "ok"])
-    elif subcommand == "align-mc":
-        records = ex.alignment_monte_carlo(
-            tuple(p["dims"]), p["samples_per_dim"], ex.derive_rng(seed, 80),
-            threshold_deg=p["threshold_deg"])
-        out["align-mc.csv"] = (records, ["d", "rows_sampled", "median_angle_deg",
-                                         "frac_below_threshold",
-                                         "exact_frac_below_threshold"])
-    elif subcommand == "trajectory":
-        spec = GenSpec(n=p["n"], d=p["d"], lambda_max=p["lambda_max"],
-                       lambda_min=p["lambda_max"] / p["cond"])
-        problem = generate_least_squares(spec, ex.derive_rng(seed, 90))
-        config = OptimizerConfig(eta=p["eta"], beta1=p["beta1"])
-        trace = ex.run_trajectory(problem, p["algo"], config, p["steps"],
-                                  ex.derive_rng(seed, 91), stochastic=p["stochastic"])
-        records = [
-            {"t": int(trace.t[i]), "loss": trace.loss[i], "eta_t": trace.eta_t[i],
-             "grad_norm": trace.grad_norm[i]}
-            for i in range(len(trace.t))
-        ]
-        out["trajectory.csv"] = (records, ["t", "loss", "eta_t", "grad_norm"])
-    else:
-        raise UsageError(f"unknown subcommand {subcommand!r}")
-    return out, failures
-
-
 def dispatch(subcommand: str, params: dict, *, seed: int, workers: int, out_dir: str,
              preset: str | None, applied_overrides: dict) -> int:
+    command = COMMANDS[subcommand]
+    runner = getattr(ex, command.runner)
+    extra = {"workers": workers} if "workers" in inspect.signature(runner).parameters else {}
     try:
-        outputs, failures = _run_subcommand(subcommand, params, seed, workers)
-    except (UsageError, ValueError) as exc:
+        result = runner(seed, **params, **extra)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    result, failures = result if command.checks else (result, [])
+    tables = result if len(command.outputs) > 1 else (result,)
     try:
         os.makedirs(out_dir, exist_ok=True)
         checksums = {}
-        for name, (records, fieldnames) in outputs.items():
-            checksums[name] = emit_csv(records, fieldnames, os.path.join(out_dir, name))
+        for (name, header), records in zip(command.outputs.items(), tables, strict=True):
+            checksums[name] = emit_csv(records, header.split(","), os.path.join(out_dir, name))
         manifest = {
             "subcommand": subcommand,
             "preset": preset,
@@ -320,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="optbench",
         description="Synthetic least-squares optimizer benchmarks and theorem-level checks.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--preset", default=None)
         sp.add_argument("--seed", type=int, default=None,

@@ -41,6 +41,11 @@ LOSS_CAP = 1e50
 DIVERGED_LOG10 = 50.0
 LOG10_FLOOR = 1e-30
 
+# The theorem checks run at the default second-moment decay and start a small
+# fixed distance from the optimum; no experiment varies either.
+BETA2 = 0.999
+PERTURBATION = 1e-2
+
 
 def derive_rng(master_seed: int, *tags: int) -> np.random.Generator:
     """Independent per-cell stream keyed by the master seed and cell coordinates."""
@@ -137,6 +142,30 @@ def run_trajectory(
     )
 
 
+def trajectory_experiment(
+    master_seed: int,
+    *,
+    algo: str = "adam",
+    eta: float = 0.1,
+    beta1: float = 0.9,
+    d: int = 30,
+    n: int = 90,
+    lambda_max: float = 1.0,
+    cond: float = 1e4,
+    steps: int = 1500,
+    stochastic: bool = True,
+) -> list[dict]:
+    """One run on a generated problem, one row per step."""
+    spec = GenSpec(n=n, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond)
+    problem = generate_least_squares(spec, derive_rng(master_seed, 90))
+    config = OptimizerConfig(eta=eta, beta1=beta1)
+    trace = run_trajectory(problem, algo, config, steps, derive_rng(master_seed, 91),
+                           stochastic=stochastic)
+    return [{"t": int(t), "loss": loss, "eta_t": eta_t, "grad_norm": grad_norm}
+            for t, loss, eta_t, grad_norm
+            in zip(trace.t, trace.loss, trace.eta_t, trace.grad_norm)]
+
+
 # ---------------------------------------------------------------------------
 # Theorem-level checks
 # ---------------------------------------------------------------------------
@@ -156,7 +185,6 @@ def check_sgd_dichotomy(
     lambda_max: float = 1.0,
     steps: int = 20_000,
     tol: float = 1e-10,
-    perturbation: float = 1e-2,
 ) -> tuple[list[dict], list[str]]:
     """Deterministic SGD (beta1 = 0) converges below tol at eta = 1.9/lambda_max
     and diverges at eta = 2.1/lambda_max.
@@ -172,7 +200,7 @@ def check_sgd_dichotomy(
         for i_c, cond in enumerate(cond_values):
             problem = _theorem_problem(d, cond, lambda_max, master_seed)
             rng = derive_rng(master_seed, 1, i_d, i_c)
-            theta0 = problem.theta_star + perturbation * rng.standard_normal(d)
+            theta0 = problem.theta_star + PERTURBATION * rng.standard_normal(d)
             for mult, expect_converge in ((1.9, True), (2.1, False)):
                 config = OptimizerConfig(eta=mult / lambda_max, beta1=0.0)
                 trace = run_trajectory(problem, "sgd", config, steps, rng,
@@ -199,8 +227,6 @@ def check_theorem_convergence_range(
     lambda_max: float = 1.0,
     steps: int = 50_000,
     tol: float = 1e-8,
-    beta2: float = 0.999,
-    perturbation: float = 1e-2,
 ) -> tuple[list[dict], list[str]]:
     """AdaSGDMax (beta1 = 0, no decay) on a deterministic quadratic: for every
     eta the run either converges, is still shrinking eta_t at the budget, or
@@ -214,12 +240,12 @@ def check_theorem_convergence_range(
     seed-dependent boundary flukes.
     """
     problem = _theorem_problem(d, cond, lambda_max, master_seed)
-    theta0 = problem.theta_star + perturbation * problem.q[0]
+    theta0 = problem.theta_star + PERTURBATION * problem.q[0]
     threshold = 2.0 / lambda_max
     rows: list[dict] = []
     failures: list[str] = []
     for i_m, mult in enumerate(eta_multipliers):
-        config = OptimizerConfig(eta=mult / lambda_max, beta1=0.0, beta2=beta2)
+        config = OptimizerConfig(eta=mult / lambda_max, beta1=0.0, beta2=BETA2)
         rng = derive_rng(master_seed, 2, i_m)
         trace = run_trajectory(problem, "adasgdmax", config, steps, rng,
                                stochastic=False, theta0=theta0)
@@ -260,9 +286,7 @@ def check_distance_bound(
     cond_values: tuple[float, ...] = (10.0, 1e3),
     eta_values: tuple[float, ...] = (1e-4, 1e-2, 1.0),
     lambda_max: float = 1.0,
-    beta2: float = 0.999,
     steps: int = 50_000,
-    perturbation: float = 1e-2,
     bound_scale: float = 1.0,
 ) -> tuple[list[dict], list[str]]:
     """AdaSGD's final distance to the optimum stays within
@@ -277,13 +301,13 @@ def check_distance_bound(
         for i_c, cond in enumerate(cond_values):
             problem = _theorem_problem(d, cond, lambda_max, master_seed)
             rng = derive_rng(master_seed, 3, i_d, i_c)
-            theta0 = problem.theta_star + perturbation * rng.standard_normal(d)
+            theta0 = problem.theta_star + PERTURBATION * rng.standard_normal(d)
             for eta in eta_values:
-                config = OptimizerConfig(eta=eta, beta1=0.0, beta2=beta2)
+                config = OptimizerConfig(eta=eta, beta1=0.0, beta2=BETA2)
                 trace = run_trajectory(problem, "adasgd", config, steps, rng,
                                        stochastic=False, theta0=theta0)
                 distance = float(np.linalg.norm(trace.final_theta - problem.theta_star))
-                bound = bound_scale * np.sqrt(d) * eta * cond / (2.0 * (1.0 - beta2))
+                bound = bound_scale * np.sqrt(d) * eta * cond / (2.0 * (1.0 - BETA2))
                 ok = (not trace.diverged) and distance <= bound
                 rows.append({
                     "d": d, "cond": cond, "eta": eta,
@@ -319,7 +343,6 @@ def check_regret_bound(
     box_halfwidth: float = 1.0,
     g_bound: float = 1.0,
     eta: float = 1.0,
-    beta2: float = 0.999,
     seeds: int = 5,
 ) -> tuple[list[dict], list[str]]:
     """Box-constrained AdaSGDMax with the 1/sqrt(t) decay never exceeds its
@@ -330,6 +353,8 @@ def check_regret_bound(
     The scaled schedule is run by rescaling eta (exact algebraic identity), and
     each bound is evaluated with the v-hat values measured during the run.
     """
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
     rows: list[dict] = []
     failures: list[str] = []
     t_max = max(t_values)
@@ -343,7 +368,7 @@ def check_regret_bound(
                     eta_run = eta
                 else:
                     eta_run = eta * problem.diameter_inf / (problem.grad_bound_inf * np.sqrt(d))
-                config = OptimizerConfig(eta=eta_run, beta1=0.0, beta2=beta2, regret_decay=True)
+                config = OptimizerConfig(eta=eta_run, beta1=0.0, beta2=BETA2, regret_decay=True)
                 opt = BoxConstrained(make_optimizer("adasgdmax", d, config),
                                      problem.box_lo, problem.box_hi)
                 theta = np.zeros(d)
@@ -403,27 +428,6 @@ class RosterEntry:
         raise ValueError(f"unknown eta policy {self.eta_policy!r}")
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """Heatmap sweep description."""
-
-    lambda_max_values: tuple[float, ...]
-    cond_values: tuple[float, ...]
-    seeds: int
-    steps: int
-    d: int
-    n: int
-    roster: tuple[RosterEntry, ...]
-
-    def validate(self) -> None:
-        if not self.roster:
-            raise ValueError("roster must be non-empty")
-        if min(self.lambda_max_values) <= 0 or min(self.cond_values) < 1:
-            raise ValueError("lambda_max must be positive and cond >= 1")
-        if self.seeds < 1 or self.steps < 1 or self.d < 1 or self.n < self.d:
-            raise ValueError("invalid grid sizes")
-
-
 HEATMAP_ROSTER = (
     RosterEntry("sgd_fixed", "sgd", 0.01),
     RosterEntry("sgd_inv_lmax", "sgd", 1.0, "inv-lambda-max"),
@@ -431,26 +435,20 @@ HEATMAP_ROSTER = (
     RosterEntry("adasgd", "adasgd", 0.01),
 )
 
-# n = 10 d keeps single-sample momentum-SGD at eta = 1/lambda_max in its
-# stable regime at cond = 1 (the per-sample step ratio scales like 10 d / n).
-DESK_GRID = SweepGrid(
-    lambda_max_values=(1.0, 1e2, 1e4, 1e6),
-    cond_values=(1.0, 1e2, 1e4, 1e6),
-    seeds=5, steps=1500, d=30, n=300, roster=HEATMAP_ROSTER,
-)
 
 def _heatmap_cell(args: tuple) -> dict:
-    grid, master_seed, i_opt, i_l, i_c, i_seed = args
-    lam_max = grid.lambda_max_values[i_l]
-    cond = grid.cond_values[i_c]
-    entry = grid.roster[i_opt]
+    (master_seed, lambda_max_values, cond_values, steps, d, n, roster,
+     i_opt, i_l, i_c, i_seed) = args
+    lam_max = lambda_max_values[i_l]
+    cond = cond_values[i_c]
+    entry = roster[i_opt]
     rng_problem = derive_rng(master_seed, 20, i_l, i_c, i_seed)
-    spec = GenSpec(n=grid.n, d=grid.d, lambda_max=lam_max, lambda_min=lam_max / cond)
+    spec = GenSpec(n=n, d=d, lambda_max=lam_max, lambda_min=lam_max / cond)
     problem = generate_least_squares(spec, rng_problem)
-    theta0 = rng_problem.standard_normal(grid.d)
+    theta0 = rng_problem.standard_normal(d)
     rng_run = derive_rng(master_seed, 21, i_l, i_c, i_seed, i_opt)
     config = OptimizerConfig(eta=entry.effective_eta(lam_max), beta1=entry.beta1)
-    trace = run_trajectory(problem, entry.algo, config, grid.steps, rng_run, theta0=theta0)
+    trace = run_trajectory(problem, entry.algo, config, steps, rng_run, theta0=theta0)
     if trace.diverged:
         log10_loss = DIVERGED_LOG10
     else:
@@ -461,16 +459,35 @@ def _heatmap_cell(args: tuple) -> dict:
     }
 
 
-def sweep_heatmap(grid: SweepGrid, master_seed: int, *, workers: int = 1) -> list[dict]:
+def sweep_heatmap(
+    master_seed: int,
+    *,
+    lambda_max_values: tuple[float, ...] = (1.0, 1e2, 1e4, 1e6),
+    cond_values: tuple[float, ...] = (1.0, 1e2, 1e4, 1e6),
+    seeds: int = 5,
+    steps: int = 1500,
+    # n = 10 d keeps single-sample momentum-SGD at eta = 1/lambda_max in its
+    # stable regime at cond = 1 (the per-sample step ratio scales like 10 d / n).
+    d: int = 30,
+    n: int = 300,
+    roster: tuple[RosterEntry, ...] = HEATMAP_ROSTER,
+    workers: int = 1,
+) -> list[dict]:
     """Per-(optimizer, lambda_max, cond, seed) final log10 regret-in-loss;
     diverged runs record exactly 50."""
-    grid.validate()
+    if not roster:
+        raise ValueError("roster must be non-empty")
+    if min(lambda_max_values) <= 0 or min(cond_values) < 1:
+        raise ValueError("lambda_max must be positive and cond >= 1")
+    if seeds < 1 or steps < 1 or d < 1 or n < d:
+        raise ValueError("invalid grid sizes")
     cells = [
-        (grid, master_seed, i_opt, i_l, i_c, i_seed)
-        for i_opt in range(len(grid.roster))
-        for i_l in range(len(grid.lambda_max_values))
-        for i_c in range(len(grid.cond_values))
-        for i_seed in range(grid.seeds)
+        (master_seed, lambda_max_values, cond_values, steps, d, n, roster,
+         i_opt, i_l, i_c, i_seed)
+        for i_opt in range(len(roster))
+        for i_l in range(len(lambda_max_values))
+        for i_c in range(len(cond_values))
+        for i_seed in range(seeds)
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -518,7 +535,7 @@ def _angle_cell(args: tuple) -> dict:
 def sweep_angle(
     master_seed: int,
     *,
-    angles: tuple[float, ...] = tuple(range(0, 50, 5)),
+    angles: tuple[float, ...] = tuple(float(a) for a in range(0, 50, 5)),
     cond: float = 1e4,
     lambda_min: float = 1.0,
     seeds: int = 30,
@@ -530,6 +547,8 @@ def sweep_angle(
     """Final regret-in-loss of each optimizer on rotated 2-d problems, one row
     per (optimizer, angle, seed); each (angle, seed) pair shares its dataset
     and starting point across the roster."""
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
     cells = [
         (master_seed, cond, lambda_min, n, steps, roster, i_angle, angle, i_seed, i_opt)
         for i_angle, angle in enumerate(angles)
@@ -587,6 +606,8 @@ def alignment_monte_carlo(
     their rows: empirical median, empirical fraction below the threshold, and
     the exact fraction (the empirical one is identically zero at any feasible
     sample count once d reaches a few dozen)."""
+    if samples_per_dim < 1:
+        raise ValueError("samples_per_dim must be >= 1")
     rows: list[dict] = []
     for d in dims:
         if d < 2:
@@ -605,6 +626,18 @@ def alignment_monte_carlo(
             "exact_frac_below_threshold": exact_alignment_fraction(d, threshold_deg),
         })
     return rows
+
+
+def alignment_experiment(
+    master_seed: int,
+    *,
+    dims: tuple[int, ...] = (2, 10, 50, 200),
+    samples_per_dim: int = 10_000,
+    threshold_deg: float = 15.0,
+) -> list[dict]:
+    """alignment_monte_carlo on the stream derived from the master seed."""
+    return alignment_monte_carlo(dims, samples_per_dim, derive_rng(master_seed, 80),
+                                 threshold_deg=threshold_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +659,6 @@ def minnorm_experiment(
     lambda_max: float = 10.0,
     steps: int = 1500,
     roster: tuple[RosterEntry, ...] = MINNORM_ROSTER,
-    stochastic: bool = True,
 ) -> list[dict]:
     """Start at 0 (inside the row space) on a rank-deficient problem and track
     each optimizer's component outside the row space plus its distance to the
@@ -640,7 +672,7 @@ def minnorm_experiment(
         rng = derive_rng(master_seed, 41, i_opt)
         config = OptimizerConfig(eta=entry.effective_eta(problem.lambda_max), beta1=entry.beta1)
         trace = run_trajectory(problem, entry.algo, config, steps, rng,
-                               stochastic=stochastic, theta0=np.zeros(d), snapshot_stride=1)
+                               theta0=np.zeros(d), snapshot_stride=1)
         null_norms = np.linalg.norm(trace.snapshots @ null_rows.T, axis=1)
         rows.append({
             "optimizer": entry.label,
@@ -689,6 +721,8 @@ def ridge_path_experiment(
     and AdaSGD with beta1 = 0, which is exact algebra and must hold to float
     precision.
     """
+    if seeds < 1 or train_n < d:
+        raise ValueError("need seeds >= 1 and train_n >= d")
     if alphas is None:
         alphas = default_ridge_alphas()
     rows: list[dict] = []
@@ -804,6 +838,8 @@ def stability_swap(
     """
     if rank is not None and not 1 <= rank < d:
         raise ValueError("rank must lie in [1, d)")
+    if swaps < 1:
+        raise ValueError("swaps must be >= 1")
     r = rank if rank is not None else d
     row_spectrum = np.zeros(d)
     row_spectrum[:r] = np.geomspace(lambda_max, lambda_max / cond, r)
@@ -838,6 +874,41 @@ def stability_spearman(report: StabilityReport) -> float:
     (negative when small-eigenvalue directions change most)."""
     rho, _ = sp_stats.spearmanr(report.eigenvalues, report.mean_abs_change)
     return float(rho)
+
+
+def stability_experiment(
+    master_seed: int,
+    *,
+    n: int = 500,
+    d: int = 50,
+    swaps: int = 10,
+    seeds: int = 5,
+    lambda_max: float = 100.0,
+    cond: float = 1e4,
+    degenerate_n: int = 30,
+    degenerate_d: int = 50,
+    degenerate_rank: int = 25,
+) -> tuple[list[dict], list[dict]]:
+    """stability_swap on an invertible and a rank-deficient (degenerate) pool
+    per seed: one row per (variant, seed, eigendirection), and the Spearman
+    correlation per (variant, seed)."""
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
+    detail: list[dict] = []
+    summary: list[dict] = []
+    for variant, tag, n_v, d_v, rank in (("invertible", 70, n, d, None),
+                                         ("degenerate", 71, degenerate_n, degenerate_d,
+                                          degenerate_rank)):
+        for s in range(seeds):
+            report = stability_swap(n_v, d_v, swaps, derive_rng(master_seed, tag, s),
+                                    lambda_max=lambda_max, cond=cond, rank=rank)
+            detail += [{"variant": variant, "seed": s, "eig_index": j, "eigenvalue": lam,
+                        "mean_abs_change": change, "mean_loss_change": loss}
+                       for j, (lam, change, loss) in enumerate(zip(
+                           report.eigenvalues, report.mean_abs_change, report.mean_loss_change))]
+            summary.append({"variant": variant, "seed": s,
+                            "spearman": stability_spearman(report)})
+    return detail, summary
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ class GenSpec:
     def validate(self) -> None:
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be >= 1")
+        if not np.all(np.isfinite((self.lambda_max, self.lambda_min, self.y_std))):
+            raise ValueError("lambda_max, lambda_min and y_std must be finite")
         if self.lambda_max <= 0:
             raise ValueError("lambda_max must be positive")
         if self.lambda_min < 0 or self.lambda_min > self.lambda_max:

@@ -8,13 +8,15 @@ import pytest
 
 import optbench
 from optbench.cli import (
-    DEFAULTS,
+    COMMANDS,
     PRESETS,
     UsageError,
+    defaults,
     emit_csv,
     main,
     resolve_params,
 )
+from optbench.experiments import sweep_angle
 
 
 def read(path):
@@ -24,7 +26,7 @@ def read(path):
 class TestResolveParams:
     def test_desk_preset_is_defaults(self):
         params, applied = resolve_params("heatmap", "desk", {}, [])
-        assert params == DEFAULTS["heatmap"]
+        assert params == defaults("heatmap")
         assert applied == {}
 
     def test_paper_fig3_grid(self):
@@ -64,8 +66,12 @@ class TestResolveParams:
 
     def test_presets_cover_their_subcommands(self):
         for name, bundle in PRESETS.items():
-            for sub in bundle:
-                assert sub in DEFAULTS, (name, sub)
+            for sub, values in bundle.items():
+                assert sub in COMMANDS, (name, sub)
+                keys = defaults(sub)
+                for key, value in values.items():
+                    assert key in keys, (name, sub, key)
+                    assert type(value) is type(keys[key]), (name, sub, key)
 
 
 class TestEmitCsv:
@@ -219,6 +225,52 @@ class TestMain:
             outs.append(read(out / "heatmap.csv"))
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == 1 + 4 * 2 * 2
+
+    @pytest.mark.parametrize("sub,params", [
+        ("trajectory", {"steps": "5"}),
+        ("align-mc", {"dims": 5}),
+    ])
+    def test_ill_typed_config_value_is_usage_error(self, tmp_path, capsys, sub, params):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"params": params}))
+        code = main([sub, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub,override", [
+        ("trajectory", "lambda_max=nan"),
+        ("trajectory", "cond=nan"),
+        ("heatmap", "cond_values=nan"),
+    ])
+    def test_non_finite_spectrum_is_usage_error(self, tmp_path, capsys, sub, override):
+        code = main([sub, "--seed", "1", "--out", str(tmp_path), "--workers", "1",
+                     "--set", "steps=5", "--set", "d=3", "--set", "n=12",
+                     "--set", override])
+        assert code == 2
+        assert not (tmp_path / f"{sub}.csv").exists()
+
+    @pytest.mark.parametrize("sub,override", [
+        ("angle", "seeds=0"),
+        ("regret", "seeds=0"),
+        ("stability", "seeds=0"),
+        ("stability", "swaps=0"),
+        ("ridge-path", "seeds=0"),
+        ("ridge-path", "train_n=0"),
+        ("align-mc", "samples_per_dim=0"),
+    ])
+    def test_zero_count_is_usage_error(self, tmp_path, capsys, sub, override):
+        code = main([sub, "--seed", "1", "--out", str(tmp_path), "--workers", "1",
+                     "--set", override])
+        assert code == 2
+        assert not (tmp_path / f"{sub}.csv").exists()
+
+    def test_library_and_cli_write_the_same_bytes(self, tmp_path, capsys):
+        assert main(["angle", "--seed", "6", "--out", str(tmp_path / "cli"), "--workers", "1",
+                     "--set", "seeds=1", "--set", "steps=20"]) == 0
+        path = tmp_path / "lib.csv"
+        header = COMMANDS["angle"].outputs["angle.csv"]
+        emit_csv(sweep_angle(6, seeds=1, steps=20), header.split(","), str(path))
+        assert read(path) == read(tmp_path / "cli" / "angle.csv")
 
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         target = tmp_path / "file"

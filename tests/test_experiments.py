@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from optbench.experiments import (
-    DESK_GRID,
+    PERTURBATION,
     RosterEntry,
-    SweepGrid,
     Trace,
     alignment_angle,
     alignment_monte_carlo,
@@ -108,12 +107,12 @@ class TestTheoremChecks:
         # d = 1 learning rate tuned so eta_1 * lambda_max = 2 exactly: the error
         # flips sign forever with constant magnitude, the gradient norm never
         # moves, and eta_t stays pinned at the excluded boundary value.
-        sigma = 1e-2
+        sigma = PERTURBATION
         lambda_max = 1.0
         a_mult = 2.0 * sigma * lambda_max  # eta_1 = mult * sqrt(d) / (sigma lambda_max)
         rows, failures = check_theorem_convergence_range(
             0, d=1, cond=1.0, eta_multipliers=(a_mult,), steps=5000,
-            lambda_max=lambda_max, perturbation=sigma)
+            lambda_max=lambda_max)
         assert rows[0]["edge_case"]
         assert not rows[0]["converged"]
         assert failures == []
@@ -208,16 +207,16 @@ class TestDependenceRatio:
 
 class TestSweeps:
     def test_heatmap_parallel_matches_serial(self):
-        grid = SweepGrid((1.0, 1e4), (1.0,), seeds=2, steps=100, d=4, n=40,
-                         roster=DESK_GRID.roster)
-        serial = sweep_heatmap(grid, 5, workers=1)
-        parallel = sweep_heatmap(grid, 5, workers=2)
+        grid = dict(lambda_max_values=(1.0, 1e4), cond_values=(1.0,), seeds=2, steps=100,
+                    d=4, n=40)
+        serial = sweep_heatmap(5, **grid, workers=1)
+        parallel = sweep_heatmap(5, **grid, workers=2)
         assert serial == parallel
 
     def test_heatmap_divergence_records_50(self):
-        grid = SweepGrid((1e6,), (1.0,), seeds=1, steps=400, d=4, n=40,
-                         roster=(RosterEntry("sgd_fixed", "sgd", 0.01),))
-        records = sweep_heatmap(grid, 0)
+        records = sweep_heatmap(0, lambda_max_values=(1e6,), cond_values=(1.0,), seeds=1,
+                                steps=400, d=4, n=40,
+                                roster=(RosterEntry("sgd_fixed", "sgd", 0.01),))
         assert records[0]["log10_loss"] == 50.0
 
     def test_angle_sweep_shares_problem_across_roster(self):
