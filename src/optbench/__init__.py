@@ -4,7 +4,7 @@ synthetic least-squares experiment harness."""
 __version__ = "0.1.0"
 
 from .linalg import haar_orthogonal, householder_qr, jacobi_eigh, project_box, sym_eigh
-from .optim import ALGORITHMS, BoxConstrained, OptimizerConfig, make_optimizer
+from .optim import ALGORITHMS, Optimizer, OptimizerConfig
 from .problems import (
     GenSpec,
     OnlineProblem,
@@ -28,9 +28,9 @@ from .experiments import Trace, run_trajectory
 __all__ = [
     "__version__",
     "ALGORITHMS",
-    "BoxConstrained",
     "GenSpec",
     "OnlineProblem",
+    "Optimizer",
     "OptimizerConfig",
     "QuadraticProblem",
     "Trace",
@@ -44,7 +44,6 @@ __all__ = [
     "jacobi_eigh",
     "logistic_oracle",
     "make_online_problem",
-    "make_optimizer",
     "make_rotated_2d",
     "min_norm_solution",
     "problem_from_data",

@@ -254,6 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_entry(doc: dict, key: str, kind: type):
+    """doc[key] if it has JSON type kind (a bool is not an integer), None if absent."""
+    value = doc.get(key)
+    if value is not None and type(value) is not kind:
+        raise UsageError(f"config {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -274,10 +282,12 @@ def main(argv: list[str] | None = None) -> int:
                 return 3
             except json.JSONDecodeError as exc:
                 raise UsageError(f"malformed config file: {exc}") from exc
-            file_params = doc.get("params", {})
-            file_seed = doc.get("master_seed")
-            file_workers = doc.get("workers")
-            file_out = doc.get("out_dir")
+            if not isinstance(doc, dict):
+                raise UsageError("config file must hold a JSON object")
+            file_params = _config_entry(doc, "params", dict) or {}
+            file_seed = _config_entry(doc, "master_seed", int)
+            file_workers = _config_entry(doc, "workers", int)
+            file_out = _config_entry(doc, "out_dir", str)
         params, applied = resolve_params(args.subcommand, args.preset, file_params,
                                          args.overrides)
         seed = args.seed if args.seed is not None else file_seed

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sp_stats
 
-from .linalg import haar_orthogonal, sym_eigh
-from .optim import BoxConstrained, OptimizerConfig, make_optimizer
+from .linalg import haar_orthogonal, project_box, sym_eigh
+from .optim import Optimizer, OptimizerConfig
 from .problems import (
     RANK_CUTOFF,
     GenSpec,
@@ -83,7 +83,6 @@ def run_trajectory(
     stochastic: bool = True,
     theta0: np.ndarray | None = None,
     snapshot_stride: int = 0,
-    box: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Trace:
     """Run an optimizer for a fixed number of parameter updates.
 
@@ -101,9 +100,7 @@ def run_trajectory(
     theta = (np.array(theta0, dtype=float) if theta0 is not None
              else rng.standard_normal(d))
     base = full_loss(problem, problem.theta_star) if problem.theta_star is not None else 0.0
-    opt = make_optimizer(algo, d, config)
-    if box is not None:
-        opt = BoxConstrained(opt, box[0], box[1])
+    opt = Optimizer(algo, d, config)
     snaps = [theta.copy()] if snapshot_stride >= 1 else None
     ts: list[int] = []
     losses: list[float] = []
@@ -353,6 +350,10 @@ def check_regret_bound(
     The scaled schedule is run by rescaling eta (exact algebraic identity), and
     each bound is evaluated with the v-hat values measured during the run.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if min(t_values) < 1:
+        raise ValueError("t_values must all be >= 1")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     rows: list[dict] = []
@@ -369,8 +370,7 @@ def check_regret_bound(
                 else:
                     eta_run = eta * problem.diameter_inf / (problem.grad_bound_inf * np.sqrt(d))
                 config = OptimizerConfig(eta=eta_run, beta1=0.0, beta2=BETA2, regret_decay=True)
-                opt = BoxConstrained(make_optimizer("adasgdmax", d, config),
-                                     problem.box_lo, problem.box_hi)
+                opt = Optimizer("adasgdmax", d, config)
                 theta = np.zeros(d)
                 played: list[np.ndarray] = []
                 v_hat_1 = np.nan
@@ -378,7 +378,7 @@ def check_regret_bound(
                 for t in range(t_max):
                     played.append(theta.copy())
                     g = problem.grad(t, theta)
-                    theta = opt.step(theta, g)
+                    theta = project_box(opt.step(theta, g), problem.box_lo, problem.box_hi)
                     if t == 0:
                         v_hat_1 = opt.v_hat
                     if t + 1 in t_values:
@@ -436,6 +436,14 @@ HEATMAP_ROSTER = (
 )
 
 
+def _map_cells(cell, cells: list[tuple], workers: int) -> list[dict]:
+    """cell(c) for every c, in order; across a process pool when workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(cell, cells, chunksize=8))
+    return [cell(c) for c in cells]
+
+
 def _heatmap_cell(args: tuple) -> dict:
     (master_seed, lambda_max_values, cond_values, steps, d, n, roster,
      i_opt, i_l, i_c, i_seed) = args
@@ -489,10 +497,7 @@ def sweep_heatmap(
         for i_c in range(len(cond_values))
         for i_seed in range(seeds)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_heatmap_cell, cells, chunksize=8))
-    return [_heatmap_cell(c) for c in cells]
+    return _map_cells(_heatmap_cell, cells, workers)
 
 
 def heatmap_cell_means(records: list[dict]) -> dict[tuple[str, float, float], float]:
@@ -555,10 +560,7 @@ def sweep_angle(
         for i_seed in range(seeds)
         for i_opt in range(len(roster))
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_angle_cell, cells, chunksize=8))
-    return [_angle_cell(c) for c in cells]
+    return _map_cells(_angle_cell, cells, workers)
 
 
 def angle_means(records: list[dict]) -> dict[tuple[str, float], float]:
@@ -600,7 +602,7 @@ def alignment_monte_carlo(
     samples_per_dim: int,
     rng: np.random.Generator,
     *,
-    threshold_deg: float = 15.0,
+    threshold_deg: float,
 ) -> list[dict]:
     """Sample Haar-orthogonal matrices and summarize the alignment angles of
     their rows: empirical median, empirical fraction below the threshold, and
@@ -822,8 +824,8 @@ def stability_swap(
     swaps: int,
     rng: np.random.Generator,
     *,
-    lambda_max: float = 100.0,
-    cond: float = 1e4,
+    lambda_max: float,
+    cond: float,
     rank: int | None = None,
     y_std: float = np.sqrt(30.0),
 ) -> StabilityReport:

@@ -8,7 +8,7 @@ import numpy as np
 
 from optbench.cli import main as cli_main
 from optbench.experiments import (
-    alignment_monte_carlo,
+    alignment_experiment,
     angle_means,
     check_distance_bound,
     check_regret_bound,
@@ -25,7 +25,7 @@ from optbench.experiments import (
     sweep_angle,
     sweep_heatmap,
 )
-from optbench.optim import OptimizerConfig, make_optimizer
+from optbench.optim import Optimizer, OptimizerConfig
 from optbench.problems import exponential_oracle, logistic_oracle
 
 MASTER_SEED = 0
@@ -38,17 +38,17 @@ def report(num, text):
 def test_c01_first_step_identities():
     eta, eps, beta2 = 0.1, 1e-8, 0.999
     g = np.array([3.0, -4.0])
-    adam = make_optimizer("adam", 2, OptimizerConfig(eta=eta, epsilon=eps))
+    adam = Optimizer("adam", 2, OptimizerConfig(eta=eta, epsilon=eps))
     step_adam = adam.step(np.zeros(2), g)
     tol = eta * eps / (math.sqrt(1.0 - beta2) * np.abs(g))
     assert np.all(np.abs(step_adam + eta * np.sign(g)) <= tol * (1 + 1e-9))
 
-    adasgd = make_optimizer("adasgd", 2, OptimizerConfig(eta=eta, beta1=0.0))
+    adasgd = Optimizer("adasgd", 2, OptimizerConfig(eta=eta, beta1=0.0))
     step_adasgd = adasgd.step(np.zeros(2), g)
     expected = -eta * math.sqrt(2) * g / np.linalg.norm(g)
     assert np.max(np.abs(step_adasgd - expected)) < 1e-9
 
-    adamax = make_optimizer("adasgdmax", 2, OptimizerConfig(eta=eta, beta1=0.0))
+    adamax = Optimizer("adasgdmax", 2, OptimizerConfig(eta=eta, beta1=0.0))
     step_adamax = adamax.step(np.zeros(2), g)
     assert np.array_equal(step_adasgd, step_adamax)
     report(1, "adam sign-step, adasgd unit-norm step, adasgdmax bitwise equal")
@@ -146,7 +146,7 @@ def test_c09_angle_sweep():
 
 
 def test_c10_alignment_monte_carlo():
-    rows = alignment_monte_carlo((2, 10, 50, 200), 10_000, derive_rng(MASTER_SEED, 80))
+    rows = alignment_experiment(MASTER_SEED)
     exact = [r["exact_frac_below_threshold"] for r in rows]
     assert all(b < a for a, b in zip(exact, exact[1:]))
     empirical = [r["frac_below_threshold"] for r in rows]
@@ -186,11 +186,13 @@ def test_c11_hessian_oracles():
 def test_c12_stability_swap():
     rhos = []
     for s in range(5):
-        rep = stability_swap(500, 50, 10, derive_rng(MASTER_SEED, 70, s))
+        rep = stability_swap(500, 50, 10, derive_rng(MASTER_SEED, 70, s),
+                             lambda_max=100.0, cond=1e4)
         rho = stability_spearman(rep)
         rhos.append(rho)
         assert rho < -0.5
-        rep_d = stability_swap(30, 50, 10, derive_rng(MASTER_SEED, 71, s), rank=25)
+        rep_d = stability_swap(30, 50, 10, derive_rng(MASTER_SEED, 71, s),
+                               lambda_max=100.0, cond=1e4, rank=25)
         zero_dirs = rep_d.eigenvalues <= 1e-10 * rep_d.eigenvalues[0]
         assert np.all(rep_d.mean_abs_change[zero_dirs] == 0.0)
         assert np.all(rep_d.mean_loss_change[zero_dirs] == 0.0)

@@ -264,6 +264,18 @@ class TestMain:
         assert code == 2
         assert not (tmp_path / f"{sub}.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("override,message", [
+        ("t_values=0,100", "t_values must all be >= 1"),
+        ("t_values=100,-5", "t_values must all be >= 1"),
+        ("d=0", "d must be >= 1"),
+    ])
+    def test_regret_bad_size_is_usage_error(self, tmp_path, capsys, override, message):
+        code = main(["regret", "--seed", "1", "--out", str(tmp_path), "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "regret.csv").exists()
+
     def test_library_and_cli_write_the_same_bytes(self, tmp_path, capsys):
         assert main(["angle", "--seed", "6", "--out", str(tmp_path / "cli"), "--workers", "1",
                      "--set", "seeds=1", "--set", "steps=20"]) == 0

@@ -162,11 +162,11 @@ class TestAlignment:
         assert all(b < a for a, b in zip(fracs, fracs[1:]))
 
     def test_monte_carlo_2d_median(self):
-        rows = alignment_monte_carlo((2,), 6000, derive_rng(3, 0))
+        rows = alignment_monte_carlo((2,), 6000, derive_rng(3, 0), threshold_deg=15.0)
         assert abs(rows[0]["median_angle_deg"] - 22.5) < 2.0
 
     def test_monte_carlo_matches_exact_at_2d(self):
-        rows = alignment_monte_carlo((2,), 8000, derive_rng(4, 0))
+        rows = alignment_monte_carlo((2,), 8000, derive_rng(4, 0), threshold_deg=15.0)
         assert abs(rows[0]["frac_below_threshold"] - 1.0 / 3.0) < 0.03
 
 
@@ -266,13 +266,14 @@ class TestStability:
         np.testing.assert_array_equal(loss_change, np.zeros(4))
 
     def test_small_eigenvalues_change_most(self):
-        report = stability_swap(200, 20, 8, derive_rng(0, 70))
+        report = stability_swap(200, 20, 8, derive_rng(0, 70), lambda_max=100.0, cond=1e4)
         assert stability_spearman(report) < -0.5
         assert np.all(report.mean_abs_change >= 0)
         assert np.all(report.mean_loss_change >= 0)
 
     def test_degenerate_zero_directions_unchanged(self):
-        report = stability_swap(30, 40, 5, derive_rng(0, 71), rank=20)
+        report = stability_swap(30, 40, 5, derive_rng(0, 71), lambda_max=100.0, cond=1e4,
+                                rank=20)
         zero_dirs = report.eigenvalues <= 1e-10 * report.eigenvalues[0]
         assert zero_dirs.sum() == 20
         assert np.all(report.mean_abs_change[zero_dirs] == 0.0)
@@ -280,4 +281,4 @@ class TestStability:
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
-            stability_swap(10, 5, 2, derive_rng(0, 0), rank=5)
+            stability_swap(10, 5, 2, derive_rng(0, 0), lambda_max=100.0, cond=1e4, rank=5)

@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from optbench.optim import (
-    ALGORITHMS,
-    BoxConstrained,
-    OptimizerConfig,
-    make_optimizer,
-)
+from optbench.linalg import project_box
+from optbench.optim import ALGORITHMS, Optimizer, OptimizerConfig
 
 
 def cfg(**kwargs):
@@ -18,21 +14,21 @@ def cfg(**kwargs):
 
 class TestSGD:
     def test_zero_gradient_no_move(self):
-        opt = make_optimizer("sgd", 2, cfg())
+        opt = Optimizer("sgd", 2, cfg())
         theta = opt.step(np.array([1.0, 1.0]), np.zeros(2))
         np.testing.assert_array_equal(theta, [1.0, 1.0])
 
     def test_two_step_hand_oracle(self):
         # m1 = [2,-2], theta1 = [0.8, 1.2]; m2 = 0.9 m1 + [1,0] = [2.8,-1.8],
         # theta2 = theta1 - 0.1 m2 = [0.52, 1.38]
-        opt = make_optimizer("sgd", 2, cfg(beta1=0.9))
+        opt = Optimizer("sgd", 2, cfg(beta1=0.9))
         theta = opt.step(np.array([1.0, 1.0]), np.array([2.0, -2.0]))
         theta = opt.step(theta, np.array([1.0, 0.0]))
         np.testing.assert_allclose(theta, [0.52, 1.38], atol=1e-12)
         np.testing.assert_allclose(opt.m, [2.8, -1.8], atol=1e-12)
 
     def test_beta1_zero_is_plain_sgd(self):
-        opt = make_optimizer("sgd", 3, cfg(beta1=0.0, eta=0.05))
+        opt = Optimizer("sgd", 3, cfg(beta1=0.0, eta=0.05))
         g = np.array([1.0, -2.0, 0.5])
         theta = opt.step(np.zeros(3), g)
         np.testing.assert_array_equal(theta, -0.05 * g)
@@ -41,7 +37,7 @@ class TestSGD:
 class TestAdam:
     def test_first_step_is_sign_descent(self):
         c = cfg(eta=0.1, epsilon=1e-8)
-        opt = make_optimizer("adam", 3, c)
+        opt = Optimizer("adam", 3, c)
         g = np.array([5.0, -2.0, 0.3])
         theta = opt.step(np.zeros(3), g)
         # exact first step: -eta * g / (|g| + eps / sqrt(1 - beta2))
@@ -50,7 +46,7 @@ class TestAdam:
 
     def test_first_step_instance(self):
         c = cfg(eta=0.1, epsilon=1e-8)
-        opt = make_optimizer("adam", 2, c)
+        opt = Optimizer("adam", 2, c)
         g = np.array([3.0, -4.0])
         theta = opt.step(np.zeros(2), g)
         expected = -c.eta * g / (np.abs(g) + c.epsilon / math.sqrt(1 - c.beta2))
@@ -60,7 +56,7 @@ class TestAdam:
 
     def test_three_steps_scalar_recurrence(self):
         c = cfg(eta=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
-        opt = make_optimizer("adam", 1, c)
+        opt = Optimizer("adam", 1, c)
         theta = np.array([0.5])
         m = v = 0.0
         th = 0.5
@@ -76,8 +72,8 @@ class TestAdam:
 class TestAMSGrad:
     def test_matches_adam_on_constant_stream(self):
         g = np.array([0.7, -1.3])
-        a = make_optimizer("adam", 2, cfg())
-        b = make_optimizer("amsgrad", 2, cfg())
+        a = Optimizer("adam", 2, cfg())
+        b = Optimizer("amsgrad", 2, cfg())
         ta = tb = np.zeros(2)
         for _ in range(12):
             ta = a.step(ta, g)
@@ -86,7 +82,7 @@ class TestAMSGrad:
 
     def test_vhat_holds_after_large_gradient(self):
         c = cfg(eta=0.1)
-        opt = make_optimizer("amsgrad", 1, c)
+        opt = Optimizer("amsgrad", 1, c)
         theta = opt.step(np.zeros(1), np.array([10.0]))
         theta = opt.step(theta, np.array([0.1]))
         # scalar recurrence oracle with the held maximum
@@ -106,7 +102,7 @@ class TestAMSGrad:
 
     def test_vhat_monotone(self):
         rng = np.random.default_rng(0)
-        opt = make_optimizer("amsgrad", 3, cfg())
+        opt = Optimizer("amsgrad", 3, cfg())
         theta = np.zeros(3)
         prev = np.zeros(3)
         for _ in range(50):
@@ -116,7 +112,7 @@ class TestAMSGrad:
 
     def test_first_step_sign_property(self):
         c = cfg(eta=0.1)
-        opt = make_optimizer("amsgrad", 2, c)
+        opt = Optimizer("amsgrad", 2, c)
         g = np.array([3.0, -4.0])
         theta = opt.step(np.zeros(2), g)
         np.testing.assert_allclose(theta, [-0.1, 0.1], atol=1.2e-8)
@@ -125,7 +121,7 @@ class TestAMSGrad:
 class TestAdaSGD:
     def test_first_step_exact(self):
         c = cfg(eta=0.1, beta1=0.0)
-        opt = make_optimizer("adasgd", 2, c)
+        opt = Optimizer("adasgd", 2, c)
         g = np.array([3.0, -4.0])
         theta = opt.step(np.zeros(2), g)
         expected = -0.1 * math.sqrt(2) * g / 5.0
@@ -134,8 +130,8 @@ class TestAdaSGD:
 
     def test_1d_first_step_matches_adam_magnitude(self):
         c = cfg(eta=0.1)
-        ada = make_optimizer("adasgd", 1, c)
-        adam = make_optimizer("adam", 1, c)
+        ada = Optimizer("adasgd", 1, c)
+        adam = Optimizer("adam", 1, c)
         g = np.array([2.5])
         s1 = ada.step(np.zeros(1), g)
         s2 = adam.step(np.zeros(1), g)
@@ -145,7 +141,7 @@ class TestAdaSGD:
 
     def test_three_steps_scalar_recurrence_2d(self):
         c = cfg(eta=0.05, beta1=0.9, beta2=0.999)
-        opt = make_optimizer("adasgd", 2, c)
+        opt = Optimizer("adasgd", 2, c)
         gs = [np.array([1.0, 2.0]), np.array([-0.5, 1.0]), np.array([0.3, -0.2])]
         theta = np.zeros(2)
         m = np.zeros(2)
@@ -160,7 +156,7 @@ class TestAdaSGD:
             np.testing.assert_allclose(theta, ref, atol=1e-12)
 
     def test_zero_gradient_guard(self):
-        opt = make_optimizer("adasgd", 2, cfg())
+        opt = Optimizer("adasgd", 2, cfg())
         theta = opt.step(np.ones(2), np.zeros(2))
         np.testing.assert_array_equal(theta, np.ones(2))
         assert opt.t == 1
@@ -170,15 +166,15 @@ class TestAdaSGD:
 class TestAdaSGDMax:
     def test_first_step_bitwise_equals_adasgd(self):
         g = np.array([3.0, -4.0])
-        a = make_optimizer("adasgd", 2, cfg(beta1=0.0))
-        b = make_optimizer("adasgdmax", 2, cfg(beta1=0.0))
+        a = Optimizer("adasgd", 2, cfg(beta1=0.0))
+        b = Optimizer("adasgdmax", 2, cfg(beta1=0.0))
         sa = a.step(np.zeros(2), g)
         sb = b.step(np.zeros(2), g)
         assert np.array_equal(sa, sb)
 
     def test_eta_holds_after_gradient_drop(self):
         c = cfg(eta=0.1, beta1=0.0)
-        opt = make_optimizer("adasgdmax", 1, c)
+        opt = Optimizer("adasgdmax", 1, c)
         opt.step(np.zeros(1), np.array([10.0]))
         eta1 = opt.last_eta_t
         assert eta1 == pytest.approx(c.eta / 10.0)
@@ -187,7 +183,7 @@ class TestAdaSGDMax:
 
     def test_eta_monotone_nonincreasing(self):
         rng = np.random.default_rng(1)
-        opt = make_optimizer("adasgdmax", 3, cfg(beta1=0.0))
+        opt = Optimizer("adasgdmax", 3, cfg(beta1=0.0))
         theta = np.zeros(3)
         last = np.inf
         for _ in range(100):
@@ -197,7 +193,7 @@ class TestAdaSGDMax:
 
     def test_regret_decay_unit_gradients(self):
         c = cfg(eta=0.1, beta1=0.0, regret_decay=True)
-        opt = make_optimizer("adasgdmax", 1, c)
+        opt = Optimizer("adasgdmax", 1, c)
         theta = np.zeros(1)
         for t in range(1, 30):
             theta = opt.step(theta, np.array([1.0]))
@@ -214,7 +210,7 @@ class TestAdaBound:
 
     def test_unclipped_regime_is_adam_style(self):
         c = cfg(eta=0.001, eta_sgd=0.1, gamma=1e-3)
-        opt = make_optimizer("adabound", 2, c)
+        opt = Optimizer("adabound", 2, c)
         g = np.array([1.0, -2.0])
         theta = opt.step(np.zeros(2), g)
         # conventional bias-corrected rule, rate inside [9.99e-5, 100.1]
@@ -225,7 +221,7 @@ class TestAdaBound:
 
     def test_late_time_becomes_sgd_rate(self):
         c = cfg(eta=0.001, eta_sgd=0.1, gamma=1e-3)
-        opt = make_optimizer("adabound", 1, c)
+        opt = Optimizer("adabound", 1, c)
         opt.t = 10 ** 9 - 1  # jump the counter; bounds pinch to eta_sgd
         g = np.array([0.5])
         theta = opt.step(np.zeros(1), g)
@@ -234,16 +230,16 @@ class TestAdaBound:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            make_optimizer("adabound", 2, cfg(eta_sgd=0.1, gamma=-1.0))
+            Optimizer("adabound", 2, cfg(eta_sgd=0.1, gamma=-1.0))
         with pytest.raises(ValueError):
-            make_optimizer("adabound", 2, cfg(gamma=1e-3))
+            Optimizer("adabound", 2, cfg(gamma=1e-3))
 
 
 class TestSharedBehavior:
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_divergence_freezes_state(self, algo):
         c = cfg(eta_sgd=0.1, gamma=1e-3) if algo == "adabound" else cfg()
-        opt = make_optimizer(algo, 2, c)
+        opt = Optimizer(algo, 2, c)
         theta = opt.step(np.zeros(2), np.array([1.0, np.inf]))
         assert opt.diverged
         np.testing.assert_array_equal(theta, np.zeros(2))
@@ -254,7 +250,7 @@ class TestSharedBehavior:
     @pytest.mark.parametrize("algo", ["adam", "amsgrad", "adabound"])
     def test_per_coordinate_rates_positive(self, algo):
         c = cfg(eta_sgd=0.1, gamma=1e-3) if algo == "adabound" else cfg()
-        opt = make_optimizer(algo, 3, c)
+        opt = Optimizer(algo, 3, c)
         rng = np.random.default_rng(2)
         theta = np.zeros(3)
         for _ in range(20):
@@ -277,15 +273,7 @@ class TestSharedBehavior:
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            make_optimizer("sgdm", 2, cfg())
-
-    def test_config_roundtrip_field_names(self):
-        c = OptimizerConfig(eta=0.1, beta1=0.8, beta2=0.99, epsilon=1e-7,
-                            regret_decay=True, eta_sgd=0.2, gamma=1e-2)
-        d = c.to_dict()
-        assert set(d) == {"eta", "beta1", "beta2", "epsilon", "regret_decay",
-                          "eta_sgd", "gamma"}
-        assert OptimizerConfig.from_dict(d) == c
+            Optimizer("sgdm", 2, cfg())
 
 
 class TestScaleCoupling:
@@ -294,7 +282,7 @@ class TestScaleCoupling:
     invariant to a global rescaling but not to an anisotropic one."""
 
     def run_stream(self, algo, gs, scale):
-        opt = make_optimizer(algo, 2, cfg(eta=0.05, epsilon=0.0))
+        opt = Optimizer(algo, 2, cfg(eta=0.05, epsilon=0.0))
         theta = np.zeros(2)
         out = []
         for g in gs:
@@ -329,25 +317,28 @@ class TestScaleCoupling:
 
 
 class TestBoxConstrained:
+    """Box-constrained runs project each step's iterate with project_box."""
+
     def test_interior_identity(self):
-        inner = make_optimizer("sgd", 2, cfg(eta=0.01, beta1=0.0))
-        opt = BoxConstrained(inner, np.full(2, -1.0), np.full(2, 1.0))
-        theta = opt.step(np.zeros(2), np.array([0.5, -0.5]))
+        opt = Optimizer("sgd", 2, cfg(eta=0.01, beta1=0.0))
+        theta = project_box(opt.step(np.zeros(2), np.array([0.5, -0.5])),
+                            np.full(2, -1.0), np.full(2, 1.0))
         np.testing.assert_allclose(theta, [-0.005, 0.005])
 
     def test_clamp(self):
-        inner = make_optimizer("sgd", 1, cfg(eta=1.0, beta1=0.0))
-        opt = BoxConstrained(inner, np.array([-1.0]), np.array([1.0]))
-        theta = opt.step(np.array([0.9]), np.array([-0.6]))  # lands at 1.5
+        opt = Optimizer("sgd", 1, cfg(eta=1.0, beta1=0.0))
+        # lands at 1.5
+        theta = project_box(opt.step(np.array([0.9]), np.array([-0.6])),
+                            np.array([-1.0]), np.array([1.0]))
         np.testing.assert_array_equal(theta, [1.0])
 
     def test_membership_along_run(self):
         rng = np.random.default_rng(4)
-        inner = make_optimizer("adasgdmax", 3, cfg(beta1=0.0, regret_decay=True))
-        opt = BoxConstrained(inner, np.full(3, -1.0), np.full(3, 1.0))
+        opt = Optimizer("adasgdmax", 3, cfg(beta1=0.0, regret_decay=True))
+        lo, hi = np.full(3, -1.0), np.full(3, 1.0)
         theta = np.zeros(3)
         for _ in range(50):
-            theta = opt.step(theta, rng.standard_normal(3))
+            theta = project_box(opt.step(theta, rng.standard_normal(3)), lo, hi)
             assert np.all(theta >= -1.0 - 1e-9) and np.all(theta <= 1.0 + 1e-9)
 
 
@@ -357,7 +348,7 @@ def test_determinism_same_inputs_same_trajectory():
         c = cfg(eta_sgd=0.1, gamma=1e-3) if algo == "adabound" else cfg()
         runs = []
         for _ in range(2):
-            opt = make_optimizer(algo, 2, c)
+            opt = Optimizer(algo, 2, c)
             theta = np.zeros(2)
             path = []
             for g in gs:

@@ -1,17 +1,25 @@
 """Property tests: config resolution never lets an ill-typed value through or
-raises anything but UsageError, AdaSGDMax's eta_t never increases, and box
-projection is idempotent."""
+raises anything but UsageError, any argv ends in an exit code of the 0/1/2/3
+contract, AdaSGDMax's eta_t never increases, box projection is idempotent, and
+serialized problems round-trip bit for bit."""
 
+import contextlib
+import functools
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from optbench.cli import COMMANDS, UsageError, defaults, resolve_params
+import optbench.experiments as experiments
+from optbench.cli import COMMANDS, PRESETS, UsageError, defaults, main, resolve_params
 from optbench.linalg import project_box
-from optbench.optim import OptimizerConfig, make_optimizer
+from optbench.optim import Optimizer, OptimizerConfig
+from optbench.problems import GenSpec, QuadraticProblem, generate_from_seed
 
 KEYS = [(sub, key) for sub in COMMANDS for key in defaults(sub)]
 PROPERTY = settings(max_examples=20, deadline=None,
@@ -63,8 +71,8 @@ def test_config_value_resolves_to_default_type(sub, key, value):
     decay=st.booleans(),
 )
 def test_adasgdmax_eta_t_never_increases(grads, beta1, decay):
-    opt = make_optimizer("adasgdmax", 3, OptimizerConfig(eta=0.1, beta1=beta1,
-                                                         regret_decay=decay))
+    opt = Optimizer("adasgdmax", 3, OptimizerConfig(eta=0.1, beta1=beta1,
+                                                    regret_decay=decay))
     theta = np.zeros(3)
     etas = []
     for g in grads:
@@ -86,3 +94,110 @@ def test_project_box_is_idempotent(data, dim):
     once = project_box(theta, lo, hi)
     assert np.all((lo <= once) & (once <= hi))
     np.testing.assert_array_equal(project_box(once, lo, hi), once)
+
+
+def stub_runner(command):
+    """A runner with the real one's signature (so the CLI resolves the same
+    keys) that returns empty tables and, for the checks, one failure."""
+    @functools.wraps(getattr(experiments, command.runner))
+    def run(seed, **params):
+        tables = tuple([] for _ in command.outputs)
+        result = tables if len(tables) > 1 else tables[0]
+        return (result, ["stub failure"]) if command.checks else result
+    return run
+
+
+@st.composite
+def argv_and_config(draw, out, blocker):
+    """Subcommand, flags and --set/--config junk.  Every output path is out
+    (a fresh directory) or blocker (an existing file), so nothing is written
+    elsewhere."""
+    sub = draw(st.one_of(st.sampled_from(sorted(COMMANDS)), st.text(max_size=8)))
+    keys = sorted(defaults(sub)) if sub in COMMANDS else []
+    argv = [sub]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 100)))]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from([out, blocker]))]
+    config = None
+    for flag in draw(st.lists(st.sampled_from(
+            ["--seed", "--workers", "--preset", "--set", "--config", "--out", "--bogus", "-h"]),
+            max_size=6)):
+        if flag in ("--seed", "--workers"):
+            argv += [flag, draw(st.one_of(st.integers(-3, 10**6).map(str), st.text(max_size=6)))]
+        elif flag == "--preset":
+            argv += [flag, draw(st.one_of(st.sampled_from(sorted(PRESETS)), st.text(max_size=6)))]
+        elif flag == "--set":
+            key = draw(st.sampled_from(keys) if keys else st.text(max_size=6))
+            argv += [flag, draw(st.sampled_from([f"{key}=", key])) + draw(st.text(max_size=10))]
+        elif flag == "--config":
+            argv += [flag, draw(st.sampled_from(["CONFIG", "MISSING"]))]
+            params = st.dictionaries(st.sampled_from(keys) if keys else st.text(max_size=6),
+                                     JSON_VALUES, max_size=3)
+            doc = st.fixed_dictionaries({}, optional={
+                "params": st.one_of(params, JSON_VALUES),
+                "master_seed": st.one_of(st.integers(-3, 10**6), JSON_SCALARS),
+                "workers": st.one_of(st.integers(-3, 64), JSON_SCALARS),
+                "out_dir": st.one_of(st.sampled_from([out, blocker]), st.integers(),
+                                     st.lists(st.integers(), max_size=2)),
+            })
+            config = draw(st.one_of(doc.map(json.dumps), JSON_VALUES.map(json.dumps),
+                                    st.text(max_size=20)))
+        elif flag == "--out":
+            argv += [flag, draw(st.sampled_from([out, blocker]))]
+        else:
+            argv.append(flag)
+    return argv, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_with_a_contract_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        blocker = os.path.join(tmp, "file")
+        with open(blocker, "w") as fh:
+            fh.write("x")
+        argv, config = data.draw(argv_and_config(out, blocker))
+        config_path = os.path.join(tmp, "run.json")
+        if config is not None:
+            with open(config_path, "w", encoding="utf-8") as fh:
+                fh.write(config)
+        paths = {"CONFIG": config_path, "MISSING": os.path.join(tmp, "missing.json")}
+        argv = [paths.get(a, a) for a in argv]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            for command in COMMANDS.values():
+                mp.setattr(experiments, command.runner, stub_runner(command))
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def gen_specs(draw):
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    lambda_max = draw(st.floats(1e-3, 1e6))
+    if d == 1:
+        lambda_min = lambda_max
+    elif n < d or draw(st.booleans()):
+        lambda_min = 0.0
+    else:
+        lambda_min = lambda_max * draw(st.floats(1e-6, 1.0))
+    angle = draw(st.one_of(st.none(), st.floats(-90.0, 90.0))) if d == 2 else None
+    axis_aligned = angle is None and draw(st.booleans())
+    return GenSpec(n=n, d=d, lambda_max=lambda_max, lambda_min=lambda_min,
+                   y_std=draw(st.floats(0.0, 10.0)), angle_2d=angle, axis_aligned=axis_aligned)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=gen_specs(), seed=st.integers(0, 2**63 - 1))
+def test_problem_json_round_trip_is_bit_identical(spec, seed):
+    p = generate_from_seed(spec, seed)
+    p2 = QuadraticProblem.from_json(p.to_json())
+    assert p2.spec == spec
+    assert p2.seed == seed
+    for name in ("x", "y", "q", "lam"):
+        assert getattr(p2, name).tobytes() == getattr(p, name).tobytes(), name
