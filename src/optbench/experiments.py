@@ -324,10 +324,8 @@ def _regret_bound(schedule: str, eta: float, d: int, d_inf: float, g_inf: float,
     if schedule == "theorem":
         return (d_inf ** 2 * np.sqrt(d * v_hat_t * t) / (2.0 * eta)
                 + d ** 1.5 * g_inf ** 2 * eta * sum_term / (2.0 * np.sqrt(v_hat_1)))
-    if schedule == "corollary":
-        return (d * d_inf * g_inf * np.sqrt(v_hat_t * t) / (2.0 * eta)
-                + d * d_inf * g_inf * eta * sum_term / (2.0 * np.sqrt(v_hat_1)))
-    raise ValueError(f"unknown schedule {schedule!r}")
+    return (d * d_inf * g_inf * np.sqrt(v_hat_t * t) / (2.0 * eta)
+            + d * d_inf * g_inf * eta * sum_term / (2.0 * np.sqrt(v_hat_1)))
 
 
 def check_regret_bound(
@@ -356,6 +354,8 @@ def check_regret_bound(
         raise ValueError("t_values must all be >= 1")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    if not set(schedules) <= {"theorem", "corollary"}:
+        raise ValueError(f"schedules must be among ('theorem', 'corollary'), got {schedules}")
     rows: list[dict] = []
     failures: list[str] = []
     t_max = max(t_values)
@@ -372,22 +372,18 @@ def check_regret_bound(
                 config = OptimizerConfig(eta=eta_run, beta1=0.0, beta2=BETA2, regret_decay=True)
                 opt = Optimizer("adasgdmax", d, config)
                 theta = np.zeros(d)
-                played: list[np.ndarray] = []
-                v_hat_1 = np.nan
-                v_hat_at: dict[int, float] = {}
+                played = np.empty((t_max, d))  # played[t]: the point of round t
+                v_hat = np.empty(t_max)        # v_hat[t]: v-hat after round t's step
                 for t in range(t_max):
-                    played.append(theta.copy())
+                    played[t] = theta
                     g = problem.grad(t, theta)
                     theta = project_box(opt.step(theta, g), problem.box_lo, problem.box_hi)
-                    if t == 0:
-                        v_hat_1 = opt.v_hat
-                    if t + 1 in t_values:
-                        v_hat_at[t + 1] = opt.v_hat
+                    v_hat[t] = opt.v_hat
                 ratios = []
                 for t in checkpoints:
                     r_t = regret(problem, played, horizon=t)
                     bound = _regret_bound(schedule, eta, d, problem.diameter_inf,
-                                          problem.grad_bound_inf, t, v_hat_at[t], v_hat_1)
+                                          problem.grad_bound_inf, t, v_hat[t - 1], v_hat[0])
                     ok = r_t <= bound
                     rows.append({
                         "kind": kind, "schedule": schedule, "seed": i_s, "horizon": t,
@@ -517,14 +513,13 @@ ANGLE_ROSTER = (
 
 
 def _angle_cell(args: tuple) -> dict:
-    (master_seed, cond, lambda_min, n, steps, roster, i_angle, angle, i_seed, i_opt) = args
+    (master_seed, cond, lambda_min, n, steps, roster, angle, i_seed, i_opt) = args
     entry = roster[i_opt]
     lam_max = cond * lambda_min
     # Common random numbers across angles: the dataset draw, starting point,
     # and sampling stream all depend only on the seed (the rotation consumes no
     # randomness), so varying the angle changes nothing but the eigenbasis and
     # cross-angle comparisons are fully paired.
-    del i_angle
     rng_problem = derive_rng(master_seed, 10, i_seed)
     problem = make_rotated_2d(cond, lambda_min, angle, rng_problem, n=n)
     theta0 = rng_problem.standard_normal(2)
@@ -555,8 +550,8 @@ def sweep_angle(
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     cells = [
-        (master_seed, cond, lambda_min, n, steps, roster, i_angle, angle, i_seed, i_opt)
-        for i_angle, angle in enumerate(angles)
+        (master_seed, cond, lambda_min, n, steps, roster, angle, i_seed, i_opt)
+        for angle in angles
         for i_seed in range(seeds)
         for i_opt in range(len(roster))
     ]
@@ -838,10 +833,16 @@ def stability_swap(
     basis is axis-aligned, so zero-eigenvalue directions carry exactly zero
     change by construction.
     """
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be >= 1")
     if rank is not None and not 1 <= rank < d:
         raise ValueError("rank must lie in [1, d)")
     if swaps < 1:
         raise ValueError("swaps must be >= 1")
+    if not 0 < lambda_max < np.inf:
+        raise ValueError("lambda_max must be positive and finite")
+    if not 1 <= cond < np.inf:
+        raise ValueError("cond must be finite and >= 1")
     r = rank if rank is not None else d
     row_spectrum = np.zeros(d)
     row_spectrum[:r] = np.geomspace(lambda_max, lambda_max / cond, r)
@@ -896,6 +897,8 @@ def stability_experiment(
     correlation per (variant, seed)."""
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    if degenerate_n < 1 or not 1 <= degenerate_rank < degenerate_d:
+        raise ValueError("need degenerate_n >= 1 and 1 <= degenerate_rank < degenerate_d")
     detail: list[dict] = []
     summary: list[dict] = []
     for variant, tag, n_v, d_v, rank in (("invertible", 70, n, d, None),

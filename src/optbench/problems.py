@@ -219,13 +219,6 @@ def full_loss(p: QuadraticProblem, theta: np.ndarray) -> float:
     return 0.5 * float(r @ r)
 
 
-def regret_in_loss(p: QuadraticProblem, theta: np.ndarray) -> float:
-    """Excess loss over the optimum (requires theta_star)."""
-    if p.theta_star is None:
-        raise ValueError("problem has no unique optimum")
-    return full_loss(p, theta) - full_loss(p, p.theta_star)
-
-
 def full_gradient(p: QuadraticProblem, theta: np.ndarray) -> np.ndarray:
     """Gradient of the sum squared loss: X.T (X theta - y)."""
     return p.x.T @ (p.x @ theta - p.y)
@@ -331,28 +324,29 @@ class OnlineProblem:
     """A stream of convex losses over an axis-aligned constraint box."""
 
     kind: str                     # "linear-adversarial" | "quadratic-tracking"
-    horizon: int
-    dim: int
     box_lo: np.ndarray
     box_hi: np.ndarray
     diameter_inf: float
     grad_bound_inf: float
     data: np.ndarray = field(repr=False)  # (T, d): gradients g_t or centers c_t
 
-    def loss(self, t: int, theta: np.ndarray) -> float:
+    @property
+    def horizon(self) -> int:
+        return len(self.data)
+
+    def losses(self, points: np.ndarray) -> np.ndarray:
+        """f_t(points[t]) for every round t < len(points); vecdot takes each
+        row's dot product as the scalar data[t] @ theta does, bit for bit."""
+        data = self.data[: len(points)]
         if self.kind == "linear-adversarial":
-            return float(self.data[t] @ theta)
-        diff = theta - self.data[t]
-        return 0.5 * float(diff @ diff)
+            return np.vecdot(data, points)
+        diff = points - data
+        return 0.5 * np.vecdot(diff, diff)
 
     def grad(self, t: int, theta: np.ndarray) -> np.ndarray:
         if self.kind == "linear-adversarial":
             return self.data[t].copy()
         return theta - self.data[t]
-
-    def cumulative_loss(self, theta: np.ndarray, horizon: int | None = None) -> float:
-        t_max = self.horizon if horizon is None else horizon
-        return float(sum(self.loss(t, theta) for t in range(t_max)))
 
     def comparator(self, horizon: int | None = None) -> np.ndarray:
         """Best fixed point in the box: exact per-coordinate vertex choice for
@@ -381,8 +375,10 @@ def make_online_problem(
     """
     if t_max < 1:
         raise ValueError("horizon must be >= 1")
-    if box_halfwidth <= 0:
-        raise ValueError("box halfwidth must be positive")
+    if not 0 < 2.0 * box_halfwidth < np.inf:
+        raise ValueError("box_halfwidth must be positive, with 2 * box_halfwidth finite")
+    if not 0 < 2.0 * g_bound < np.inf:
+        raise ValueError("g_bound must be positive, with 2 * g_bound finite")
     lo = np.full(d, -box_halfwidth)
     hi = np.full(d, box_halfwidth)
     if kind == "linear-adversarial":
@@ -394,20 +390,20 @@ def make_online_problem(
     else:
         raise ValueError(f"unknown online problem kind: {kind!r}")
     return OnlineProblem(
-        kind=kind, horizon=t_max, dim=d, box_lo=lo, box_hi=hi,
+        kind=kind, box_lo=lo, box_hi=hi,
         diameter_inf=2.0 * box_halfwidth, grad_bound_inf=g_inf, data=data,
     )
 
 
-def regret(problem: OnlineProblem, played: list[np.ndarray], *, horizon: int | None = None) -> float:
-    """Cumulative loss of the played points minus the best fixed comparator."""
+def regret(problem: OnlineProblem, played: np.ndarray, *, horizon: int | None = None) -> float:
+    """Cumulative loss of the played points, one row per round, minus the best
+    fixed comparator's over the first horizon rounds, summed in round order."""
     t_max = problem.horizon if horizon is None else horizon
-    if len(played) < t_max:
-        raise ValueError("played sequence shorter than the horizon")
-    for t in range(t_max):
-        theta = np.asarray(played[t], dtype=float)
-        if np.any(theta < problem.box_lo - 1e-9) or np.any(theta > problem.box_hi + 1e-9):
-            raise ValueError(f"played point at round {t} lies outside the constraint box")
-    total = float(sum(problem.loss(t, np.asarray(played[t], dtype=float)) for t in range(t_max)))
-    best = problem.cumulative_loss(problem.comparator(t_max), t_max)
-    return total - best
+    played = np.asarray(played, dtype=float)[:t_max]
+    if not 1 <= t_max <= min(len(played), problem.horizon):
+        raise ValueError("horizon must be >= 1 and within the played and the problem rounds")
+    outside = np.any((played < problem.box_lo - 1e-9) | (played > problem.box_hi + 1e-9), axis=1)
+    if outside.any():
+        raise ValueError(f"played point at round {outside.argmax()} lies outside the box")
+    best = np.broadcast_to(problem.comparator(t_max), played.shape)
+    return float(np.cumsum(problem.losses(played))[-1] - np.cumsum(problem.losses(best))[-1])

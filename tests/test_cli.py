@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import optbench
+import optbench.experiments as experiments
 from optbench.cli import (
     COMMANDS,
     PRESETS,
@@ -275,6 +276,59 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "regret.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("override,message", [
+        ("g_bound=nan", "g_bound must be positive, with 2 * g_bound finite"),
+        ("g_bound=inf", "g_bound must be positive, with 2 * g_bound finite"),
+        ("g_bound=1e308", "g_bound must be positive, with 2 * g_bound finite"),
+        ("g_bound=-1", "g_bound must be positive, with 2 * g_bound finite"),
+        ("g_bound=0", "g_bound must be positive, with 2 * g_bound finite"),
+        ("box_halfwidth=nan", "box_halfwidth must be positive, with 2 * box_halfwidth finite"),
+        ("box_halfwidth=inf", "box_halfwidth must be positive, with 2 * box_halfwidth finite"),
+        ("box_halfwidth=1e308",
+         "box_halfwidth must be positive, with 2 * box_halfwidth finite"),
+        ("schedules=theorem,bogus",
+         "schedules must be among ('theorem', 'corollary'), got ('theorem', 'bogus')"),
+    ])
+    def test_regret_bad_value_is_usage_error_before_any_round(
+            self, tmp_path, capsys, monkeypatch, override, message):
+        def no_round(*args):
+            raise AssertionError("a round ran before the inputs were checked")
+
+        monkeypatch.setattr(experiments, "project_box", no_round)
+        code = main(["regret", "--seed", "1", "--out", str(tmp_path), "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "regret.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("override,message", [
+        ("n=0", "n and d must be >= 1"),
+        ("d=0", "n and d must be >= 1"),
+        ("degenerate_n=0", "need degenerate_n >= 1 and 1 <= degenerate_rank < degenerate_d"),
+        ("degenerate_rank=50",
+         "need degenerate_n >= 1 and 1 <= degenerate_rank < degenerate_d"),
+        ("lambda_max=0", "lambda_max must be positive and finite"),
+        ("lambda_max=-1", "lambda_max must be positive and finite"),
+        ("lambda_max=nan", "lambda_max must be positive and finite"),
+        ("lambda_max=inf", "lambda_max must be positive and finite"),
+        ("cond=0", "cond must be finite and >= 1"),
+        ("cond=-1", "cond must be finite and >= 1"),
+        ("cond=0.5", "cond must be finite and >= 1"),
+        ("cond=nan", "cond must be finite and >= 1"),
+        ("cond=inf", "cond must be finite and >= 1"),
+    ])
+    def test_stability_bad_value_is_usage_error_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, override, message):
+        def no_solve(*args):
+            raise AssertionError("a pool was solved before the inputs were checked")
+
+        monkeypatch.setattr(experiments, "sym_eigh", no_solve)
+        code = main(["stability", "--seed", "1", "--out", str(tmp_path), "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "stability.csv").exists()
 
     def test_library_and_cli_write_the_same_bytes(self, tmp_path, capsys):
         assert main(["angle", "--seed", "6", "--out", str(tmp_path / "cli"), "--workers", "1",

@@ -22,6 +22,28 @@ from optbench.problems import (
 )
 
 
+KINDS = ("linear-adversarial", "quadratic-tracking")
+
+
+def scalar_loss(p, t, theta):
+    """f_t(theta) from the formulas, one round at a time."""
+    if p.kind == "linear-adversarial":
+        return float(p.data[t] @ theta)
+    diff = theta - p.data[t]
+    return 0.5 * float(diff @ diff)
+
+
+def reference_regret(p, played, horizon):
+    """Per-round Python sums of the played and the comparator losses."""
+    comp = p.comparator(horizon)
+    total = 0.0
+    best = 0.0
+    for t in range(horizon):
+        total += scalar_loss(p, t, played[t])
+        best += scalar_loss(p, t, comp)
+    return total - best
+
+
 def fd_gradient(f, x, h=1e-6):
     """Central-difference gradient oracle."""
     g = np.zeros_like(x)
@@ -328,11 +350,15 @@ class TestOnline:
         p = make_online_problem("linear-adversarial", 100, 3, 0.7, 1.0,
                                 np.random.default_rng(20))
         comp = p.comparator()
-        best = p.cumulative_loss(comp)
+
+        def cumulative_loss(theta):
+            return p.losses(np.broadcast_to(theta, p.data.shape)).sum()
+
+        best = cumulative_loss(comp)
         # brute-force over all box vertices
         for bits in range(8):
             vertex = np.array([(0.7 if (bits >> j) & 1 else -0.7) for j in range(3)])
-            assert best <= p.cumulative_loss(vertex) + 1e-9
+            assert best <= cumulative_loss(vertex) + 1e-9
         g_sum = p.data.sum(axis=0)
         np.testing.assert_array_equal(comp, -np.sign(g_sum) * 0.7)
 
@@ -358,9 +384,39 @@ class TestOnline:
     def test_outside_box_rejected(self):
         p = make_online_problem("linear-adversarial", 5, 2, 1.0, 1.0,
                                 np.random.default_rng(24))
-        played = [np.zeros(2)] * 4 + [np.array([2.0, 0.0])]
-        with pytest.raises(ValueError):
+        played = [np.zeros(2)] * 2 + [np.array([0.0, -2.0]), np.zeros(2), np.array([2.0, 0.0])]
+        with pytest.raises(ValueError, match="round 2 "):
             regret(p, played)
+        regret(p, played, horizon=2)  # rounds past the horizon are not checked
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [1, 2, 4, 7, 16])
+    def test_losses_match_scalar_formulas_bitwise(self, kind, d):
+        rng = np.random.default_rng(26)
+        p = make_online_problem(kind, 50, d, 1.5, 2.0, rng)
+        points = rng.uniform(-1.5, 1.5, size=(30, d))
+        losses = p.losses(points)
+        assert losses.shape == (30,)
+        for t, theta in enumerate(points):
+            assert losses[t] == scalar_loss(p, t, theta)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("horizon", [1, 7, 300])
+    def test_regret_equals_per_round_reference_bitwise(self, kind, horizon):
+        rng = np.random.default_rng(27)
+        p = make_online_problem(kind, 300, 4, 1.0, 1.0, rng)
+        played = rng.uniform(-1.0, 1.0, size=(300, 4))
+        expected = reference_regret(p, played, horizon)
+        assert regret(p, played, horizon=horizon) == expected
+        assert regret(p, list(played), horizon=horizon) == expected
+
+    def test_bad_regret_horizon(self):
+        p = make_online_problem("linear-adversarial", 5, 2, 1.0, 1.0,
+                                np.random.default_rng(29))
+        for played, horizon in ((np.zeros((5, 2)), 0), (np.zeros((5, 2)), 6),
+                                (np.zeros((4, 2)), None)):
+            with pytest.raises(ValueError, match="horizon"):
+                regret(p, played, horizon=horizon)
 
     def test_bad_kind_and_horizon(self):
         rng = np.random.default_rng(25)

@@ -1,7 +1,8 @@
 """Property tests: config resolution never lets an ill-typed value through or
 raises anything but UsageError, any argv ends in an exit code of the 0/1/2/3
-contract, AdaSGDMax's eta_t never increases, box projection is idempotent, and
-serialized problems round-trip bit for bit."""
+contract (with the regret and stability runners stubbed, and again with them
+real on junk numbers), AdaSGDMax's eta_t never increases, box projection is
+idempotent, and serialized problems round-trip bit for bit."""
 
 import contextlib
 import functools
@@ -201,3 +202,41 @@ def test_problem_json_round_trip_is_bit_identical(spec, seed):
     assert p2.seed == seed
     for name in ("x", "y", "q", "lam"):
         assert getattr(p2, name).tobytes() == getattr(p, name).tobytes(), name
+
+
+# Tiny sizes for the real runners; the fuzz below overrides some of these keys.
+TINY = {
+    "regret": {"seeds": "1", "t_values": "3,5", "d": "2"},
+    "stability": {"n": "6", "d": "3", "swaps": "1", "seeds": "1", "degenerate_n": "3",
+                  "degenerate_d": "4", "degenerate_rank": "2"},
+}
+JUNK_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-2.5", "0.5", "1", "2", "3"]
+
+
+def numeric_keys(sub):
+    keys = []
+    for key, value in defaults(sub).items():
+        scalar = value[0] if isinstance(value, tuple) else value
+        if isinstance(scalar, (int, float)) and not isinstance(scalar, bool):
+            keys.append(key)
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("sub", sorted(TINY))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_real_runner_on_junk_numbers_exits_with_a_contract_code(sub, data):
+    junk = data.draw(st.dictionaries(
+        st.sampled_from(numeric_keys(sub)),
+        st.lists(st.sampled_from(JUNK_NUMBERS), min_size=1, max_size=2).map(",".join),
+        min_size=1, max_size=3))
+    overrides = [f"{key}={value}" for key, value in {**TINY[sub], **junk}.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [sub, "--seed", "0", "--workers", "1", "--out", tmp]
+        for item in overrides:
+            argv += ["--set", item]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
