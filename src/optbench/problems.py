@@ -20,6 +20,8 @@ from .linalg import haar_frame, haar_orthogonal, project_box, sym_eigh
 # Eigenvalues below RANK_CUTOFF * lambda_max count as zero for pseudoinverse
 # and row-space purposes.
 RANK_CUTOFF = 1e-10
+# The loss streams make_online_problem builds.
+ONLINE_KINDS = ("linear-adversarial", "quadratic-tracking")
 # Log-spaced spectra cannot reach 0; the smallest positive interior value.
 # Kept well above RANK_CUTOFF: positive eigenvalues closer to the cutoff have
 # eigenvectors determined only to eps * lambda_max / lambda, which breaks the
@@ -234,8 +236,14 @@ def stochastic_gradient(
     """Single-sample estimate n * x_i (x_i . theta - y_i), unbiased for the
     sum-loss gradient.  A forced index makes the draw deterministic for tests."""
     i = int(rng.integers(p.n)) if index is None else index
-    xi = p.x[i]
-    return p.n * xi * (float(xi @ theta) - p.y[i])
+    return sample_gradient(p.x[i], p.y[i], theta, p.n)
+
+
+def sample_gradient(x_i: np.ndarray, y_i, theta: np.ndarray, n: int) -> np.ndarray:
+    """n * x_i (x_i . theta - y_i) for one sampled row, or row by row for
+    (B, d) rows, (B,) targets and (B, d) parameters; vecdot's rows equal the
+    scalar dot bit for bit."""
+    return n * x_i * (np.vecdot(x_i, theta) - y_i)[..., None]
 
 
 def lstsq_min_norm(
@@ -373,6 +381,8 @@ def make_online_problem(
     with centers uniform in the box; every gradient then satisfies
     ||grad||_inf <= box width by construction.
     """
+    if kind not in ONLINE_KINDS:
+        raise ValueError(f"unknown online problem kind: {kind!r}")
     if t_max < 1:
         raise ValueError("horizon must be >= 1")
     if not 0 < 2.0 * box_halfwidth < np.inf:
@@ -384,11 +394,9 @@ def make_online_problem(
     if kind == "linear-adversarial":
         data = rng.uniform(-g_bound, g_bound, size=(t_max, d))
         g_inf = float(g_bound)
-    elif kind == "quadratic-tracking":
+    else:
         data = rng.uniform(-box_halfwidth, box_halfwidth, size=(t_max, d))
         g_inf = 2.0 * box_halfwidth
-    else:
-        raise ValueError(f"unknown online problem kind: {kind!r}")
     return OnlineProblem(
         kind=kind, box_lo=lo, box_hi=hi,
         diameter_inf=2.0 * box_halfwidth, grad_bound_inf=g_inf, data=data,

@@ -93,7 +93,7 @@ def test_c05_regret_bound():
     worst = max(r["ratio"] for r in rows)
     assert len(rows) == 2 * 2 * 5 * 3
     report(5, f"R_T <= bound in all {len(rows)} runs (worst ratio {worst:.3g}); "
-              "R_T/T strictly decreasing")
+              "B_T/T strictly decreasing")
 
 
 def test_c06_min_norm_behavior():

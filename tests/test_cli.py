@@ -227,6 +227,26 @@ class TestMain:
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == 1 + 4 * 2 * 2
 
+    @pytest.mark.parametrize("sub,overrides,rows", [
+        # about 3 kB and 12 kB a problem
+        ("heatmap", ["lambda_max_values=1,1e2,1e4,1e6", "cond_values=1,1e2,1e4,1e6", "seeds=3",
+                     "steps=20", "d=4", "n=40"], 4 * 48),
+        ("angle", ["angles=0,15,30,45", "seeds=5", "steps=20"], 3 * 20),
+    ])
+    def test_sweep_bytes_independent_of_groups_and_workers(self, tmp_path, capsys, monkeypatch,
+                                                           sub, overrides, rows):
+        outs = []
+        # one group, two, and groups of a few problems each
+        for workers, budget in (("1", experiments.GROUP_BYTES), ("2", experiments.GROUP_BYTES),
+                                ("1", 50_000), ("2", 20_000)):
+            monkeypatch.setattr(experiments, "GROUP_BYTES", budget)
+            out = tmp_path / f"w{workers}-b{budget}"
+            argv = [sub, "--seed", "3", "--out", str(out), "--workers", workers]
+            assert main(argv + [a for o in overrides for a in ("--set", o)]) == 0
+            outs.append(read(out / f"{sub}.csv"))
+        assert all(o == outs[0] for o in outs)
+        assert len(outs[0].splitlines()) == 1 + rows
+
     @pytest.mark.parametrize("sub,params", [
         ("trajectory", {"steps": "5"}),
         ("align-mc", {"dims": 5}),
@@ -290,6 +310,7 @@ class TestMain:
          "box_halfwidth must be positive, with 2 * box_halfwidth finite"),
         ("schedules=theorem,bogus",
          "schedules must be among ('theorem', 'corollary'), got ('theorem', 'bogus')"),
+        ("kinds=linear-adversarial,bogus", "unknown online problem kind: 'bogus'"),
     ])
     def test_regret_bad_value_is_usage_error_before_any_round(
             self, tmp_path, capsys, monkeypatch, override, message):
@@ -301,6 +322,8 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "regret.csv").exists()
+
+    SPECTRUM_RANGE = "lambda_max / cond must be a normal float and n * lambda_max finite"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("override,message", [
@@ -318,6 +341,9 @@ class TestMain:
         ("cond=0.5", "cond must be finite and >= 1"),
         ("cond=nan", "cond must be finite and >= 1"),
         ("cond=inf", "cond must be finite and >= 1"),
+        ("lambda_max=1e308", SPECTRUM_RANGE),
+        ("lambda_max=1e-320", SPECTRUM_RANGE),
+        ("lambda_max=1e-305", SPECTRUM_RANGE),
     ])
     def test_stability_bad_value_is_usage_error_before_any_solve(
             self, tmp_path, capsys, monkeypatch, override, message):

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import optbench.experiments as experiments
 from optbench.experiments import (
+    ANGLE_ROSTER,
+    HEATMAP_ROSTER,
+    LOSS_CAP,
     PERTURBATION,
+    BatchRow,
     RosterEntry,
     Trace,
     alignment_angle,
@@ -21,6 +26,7 @@ from optbench.experiments import (
     mean_path_discrepancy,
     minnorm_experiment,
     ridge_path_experiment,
+    run_batch,
     run_trajectory,
     stability_spearman,
     stability_swap,
@@ -30,7 +36,9 @@ from optbench.experiments import (
 )
 from optbench.linalg import sym_eigh
 from optbench.optim import OptimizerConfig
-from optbench.problems import GenSpec, generate_least_squares, lstsq_min_norm
+from optbench.problems import GenSpec, generate_least_squares, lstsq_min_norm, make_rotated_2d
+
+EPS = np.finfo(float).eps
 
 
 def small_problem(seed=0, d=2, cond=10.0, n=None):
@@ -88,6 +96,57 @@ class TestRunTrajectory:
         np.testing.assert_array_equal(runs[0].final_theta, runs[1].final_theta)
 
 
+class TestExactOracles:
+    """Deterministic SGD against closed forms in the eigenbasis of X.T X,
+    computed in extended precision.  The float run drifts from the exact
+    iterates by rounding that accumulates at most linearly in the step count,
+    so the tolerance is 32 t eps times the size of the start and the optimum
+    (the largest drift seen on these grids is about 5 t eps of that)."""
+
+    def cases(self):
+        for seed in range(4):
+            for d, cond in ((2, 10.0), (5, 10.0), (10, 100.0)):
+                p = small_problem(seed, d=d, cond=cond)
+                theta0 = p.theta_star + derive_rng(seed, 1).standard_normal(d)
+                yield p, theta0
+
+    def drift(self, p, theta0, eta, beta1, steps, oracle):
+        trace = run_trajectory(p, "sgd", OptimizerConfig(eta=eta, beta1=beta1), steps,
+                               derive_rng(0, 0), stochastic=False, theta0=theta0,
+                               snapshot_stride=1)
+        q, lam = p.q.astype(np.longdouble), p.lam.astype(np.longdouble)
+        star = p.theta_star.astype(np.longdouble)
+        errors = (trace.snapshots.astype(np.longdouble) - star) @ q.T  # Q (theta_t - theta*)
+        scale = np.max(np.abs(theta0)) + np.max(np.abs(p.theta_star))
+        expected = oracle(errors[0], lam)
+        ratios = [float(np.max(np.abs(errors[t] - next(expected)))) / (t * EPS * scale)
+                  for t in range(1, steps + 1)]
+        return max(ratios)
+
+    def test_sgd_without_momentum_is_the_power_of_the_contraction(self):
+        def closed_form(e0, lam):
+            for t in range(1, 301):
+                yield (1 - eta * lam) ** t * e0
+
+        for p, theta0 in self.cases():
+            for eta in (0.5, 1.0, 1.9):
+                assert self.drift(p, theta0, eta, 0.0, 300, closed_form) < 32
+
+    def test_momentum_sgd_follows_the_2x2_recurrence_per_eigendirection(self):
+        # u = q.(theta - theta*), mu = q.m:  mu_t = beta mu_{t-1} + lam u_{t-1},
+        # u_t = u_{t-1} - eta mu_t, from mu_0 = 0.
+        def recurrence(e0, lam):
+            u, mu = e0.copy(), np.zeros_like(e0)
+            while True:
+                mu = beta * mu + lam * u
+                u = u - eta * mu
+                yield u
+
+        for p, theta0 in self.cases():
+            for eta, beta in ((0.5, 0.5), (1.0, 0.5), (0.3, 0.9)):
+                assert self.drift(p, theta0, eta, beta, 300, recurrence) < 32
+
+
 class TestTheoremChecks:
     def test_dichotomy_small(self):
         rows, failures = check_sgd_dichotomy(0, d_values=(2,), cond_values=(10.0,),
@@ -135,6 +194,18 @@ class TestTheoremChecks:
         assert failures == []
         assert all(r["ok"] for r in rows)
         assert all(r["regret"] <= r["bound"] for r in rows)
+
+    def test_regret_trend_is_checked_on_the_bound_not_the_average_regret(self):
+        # Master seed 201: linear-adversarial R_T/T rises from T = 1000 to
+        # 10,000, which the O(sqrt(T)) bound allows; B_T/T falls.
+        rows, failures = check_regret_bound(201, seeds=1)
+        assert failures == []
+        linear = [r for r in rows
+                  if (r["kind"], r["schedule"]) == ("linear-adversarial", "theorem")]
+        per_round = [r["regret_per_round"] for r in linear]
+        assert per_round[2] > per_round[1]
+        bound_rates = [r["bound"] / r["horizon"] for r in linear]
+        assert bound_rates[0] > bound_rates[1] > bound_rates[2]
 
 
 class TestAlignment:
@@ -203,6 +274,135 @@ class TestDependenceRatio:
         trace = self.make_trace([[0.0, 0.0]])
         with pytest.raises(ValueError):
             dependence_ratio(trace, np.eye(2), np.array([2.0, 1.0]), k=1)
+
+
+def reference_heatmap_run(master_seed, lambda_max_values, cond_values, steps, d, n, roster,
+                          i_opt, i_l, i_c, i_seed):
+    """The per-cell heatmap run the batch engine replaced, kept as its oracle."""
+    lam_max = lambda_max_values[i_l]
+    cond = cond_values[i_c]
+    entry = roster[i_opt]
+    rng_problem = derive_rng(master_seed, 20, i_l, i_c, i_seed)
+    spec = GenSpec(n=n, d=d, lambda_max=lam_max, lambda_min=lam_max / cond)
+    problem = generate_least_squares(spec, rng_problem)
+    theta0 = rng_problem.standard_normal(d)
+    rng_run = derive_rng(master_seed, 21, i_l, i_c, i_seed, i_opt)
+    config = OptimizerConfig(eta=entry.effective_eta(lam_max), beta1=entry.beta1)
+    return run_trajectory(problem, entry.algo, config, steps, rng_run, theta0=theta0)
+
+
+def reference_angle_run(master_seed, cond, lambda_min, n, steps, roster, angle, i_seed, i_opt):
+    """The per-cell angle run the batch engine replaced, kept as its oracle."""
+    entry = roster[i_opt]
+    lam_max = cond * lambda_min
+    rng_problem = derive_rng(master_seed, 10, i_seed)
+    problem = make_rotated_2d(cond, lambda_min, angle, rng_problem, n=n)
+    theta0 = rng_problem.standard_normal(2)
+    rng_run = derive_rng(master_seed, 11, i_seed, i_opt)
+    config = OptimizerConfig(eta=entry.effective_eta(lam_max), beta1=entry.beta1)
+    return run_trajectory(problem, entry.algo, config, steps, rng_run, theta0=theta0)
+
+
+# Every algorithm a roster can name, two sgd entries that differ in beta1
+# (so they step as separate batches) and one that diverges early.
+MIXED_ROSTER = HEATMAP_ROSTER + (
+    RosterEntry("sgd_plain", "sgd", 0.5, "inv-lambda-max", 0.0),
+    RosterEntry("amsgrad", "amsgrad", 0.05),
+    RosterEntry("adasgdmax", "adasgdmax", 0.02, "fixed", 0.5),
+)
+
+
+class TestBatchEngine:
+    """The batched engine against run_trajectory, run by run: == on the final
+    losses and identical divergence flags."""
+
+    @pytest.mark.parametrize("seed,roster,grid", [
+        (0, HEATMAP_ROSTER, dict(lambda_max_values=(1.0, 1e4, 1e6), cond_values=(1.0, 1e4),
+                                 seeds=2, steps=300, d=4, n=40)),
+        (3, MIXED_ROSTER, dict(lambda_max_values=(1.0, 1e2, 1e6), cond_values=(1.0, 1e3),
+                               seeds=1, steps=200, d=6, n=30)),
+        (201, HEATMAP_ROSTER, dict(lambda_max_values=(1e2, 1e6), cond_values=(1e2, 1e6),
+                                   seeds=1, steps=1500, d=30, n=300)),
+    ])
+    def test_heatmap_runs_match_run_trajectory(self, seed, roster, grid):
+        cells = [(i_l, i_c, i_seed) for i_l in range(len(grid["lambda_max_values"]))
+                 for i_c in range(len(grid["cond_values"])) for i_seed in range(grid["seeds"])]
+        params = {k: grid[k] for k in ("lambda_max_values", "cond_values", "d", "n")}
+        final, stopped = experiments._sweep(experiments._heatmap_problem, params, seed, cells,
+                                            roster, grid["steps"], 1, n=grid["n"], d=grid["d"])
+        early = 0
+        for k, (i_l, i_c, i_seed) in enumerate(cells):
+            for i_opt in range(len(roster)):
+                trace = reference_heatmap_run(
+                    seed, grid["lambda_max_values"], grid["cond_values"], grid["steps"],
+                    grid["d"], grid["n"], roster, i_opt, i_l, i_c, i_seed)
+                assert final[k, i_opt] == trace.final_loss
+                assert stopped[k, i_opt] == trace.diverged
+                early += trace.diverged and len(trace.t) < grid["steps"]
+        assert early >= 2  # the grid exercises the early exit
+
+    def test_angle_runs_match_run_trajectory(self):
+        angles, seeds, steps = (0.0, 20.0, 45.0), 3, 400
+        cells = [(angle, i_seed) for angle in angles for i_seed in range(seeds)]
+        params = {"cond": 1e4, "lambda_min": 1.0, "n": 300}
+        final, stopped = experiments._sweep(experiments._angle_problem, params, 7, cells,
+                                            ANGLE_ROSTER, steps, 1, n=300, d=2)
+        for k, (angle, i_seed) in enumerate(cells):
+            for i_opt in range(len(ANGLE_ROSTER)):
+                trace = reference_angle_run(7, 1e4, 1.0, 300, steps, ANGLE_ROSTER, angle,
+                                            i_seed, i_opt)
+                assert final[k, i_opt] == trace.final_loss
+                assert stopped[k, i_opt] == trace.diverged
+
+    def test_sweep_records_match_the_per_cell_records(self):
+        grid = dict(lambda_max_values=(1.0, 1e6), cond_values=(1.0, 1e4), seeds=2, steps=120,
+                    d=4, n=40)
+        records = sweep_heatmap(5, **grid)
+        expected = []
+        for i_opt, entry in enumerate(HEATMAP_ROSTER):
+            for i_l, lam in enumerate(grid["lambda_max_values"]):
+                for i_c, cond in enumerate(grid["cond_values"]):
+                    for i_seed in range(grid["seeds"]):
+                        trace = reference_heatmap_run(
+                            5, grid["lambda_max_values"], grid["cond_values"], grid["steps"],
+                            grid["d"], grid["n"], HEATMAP_ROSTER, i_opt, i_l, i_c, i_seed)
+                        log10_loss = (50.0 if trace.diverged
+                                      else float(np.log10(max(trace.final_loss, 1e-30))))
+                        expected.append({"optimizer": entry.label, "lambda_max": lam,
+                                         "cond": cond, "seed": i_seed,
+                                         "log10_loss": log10_loss})
+        assert records == expected
+
+    def test_single_sample_draws_match_one_array_draw(self):
+        for n in (2, 40, 300, 1000):
+            rng = derive_rng(n, 21)
+            scalar = [int(rng.integers(n)) for _ in range(1500)]
+            assert derive_rng(n, 21).integers(n, size=1500).tolist() == scalar
+
+    def test_rows_of_problems_with_different_shapes_are_rejected(self):
+        p2, p3 = small_problem(d=2), small_problem(d=3)
+        rows = [BatchRow(i, "sgd", OptimizerConfig(eta=0.1), np.zeros(5, dtype=int))
+                for i in range(2)]
+        with pytest.raises(ValueError, match="share n and d"):
+            run_batch([p2, p3], [np.zeros(2), np.zeros(3)], rows, 5)
+
+    @pytest.mark.parametrize("indices,message", [
+        (np.zeros(4, dtype=int), "one sample index per step"),
+        (np.full(5, 2), r"sample indices must lie in \[0, 2\)"),
+        (np.full(5, -1), r"sample indices must lie in \[0, 2\)"),
+    ])
+    def test_bad_sample_indices_are_rejected(self, indices, message):
+        p = small_problem(d=2)
+        with pytest.raises(ValueError, match=message):
+            run_batch([p], np.zeros((1, 2)),
+                      [BatchRow(0, "sgd", OptimizerConfig(eta=0.1), indices)], 5)
+
+    def test_all_rows_stopping_ends_the_batch(self):
+        p = small_problem(d=2)
+        rows = [BatchRow(0, "sgd", OptimizerConfig(eta=1e3, beta1=0.0),
+                         np.zeros(10_000, dtype=int))]
+        final, stopped = run_batch([p], p.theta_star[None] + 1.0, rows, 10_000)
+        assert stopped.tolist() == [True] and final.tolist() == [LOSS_CAP]
 
 
 class TestSweeps:

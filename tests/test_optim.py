@@ -356,3 +356,173 @@ def test_determinism_same_inputs_same_trajectory():
                 path.append(theta.copy())
             runs.append(np.array(path))
         np.testing.assert_array_equal(runs[0], runs[1])
+
+
+class ReferenceOptimizer:
+    """The single-run optimizer as it was before the rules gained a batch
+    axis, kept verbatim as the bitwise oracle for Optimizer."""
+
+    def __init__(self, algo: str, dim: int, config: OptimizerConfig):
+        self.algo = algo
+        self.dim = dim
+        self.config = config
+        self.t = 0
+        self.diverged = False
+        self.m = np.zeros(dim)
+        self.v = np.zeros(dim) if algo in ("adam", "amsgrad", "adabound") else 0.0
+        self.v_hat = np.zeros(dim) if algo == "amsgrad" else 0.0
+        self.last_eta_t = np.nan
+
+    def step(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        g = np.asarray(g, dtype=float)
+        self.t += 1
+        if self.diverged:
+            return theta.copy()
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(theta))):
+            self.diverged = True
+            return theta.copy()
+        c, algo = self.config, self.algo
+        if algo in ("sgd", "adasgd", "adasgdmax"):
+            self.m = c.beta1 * self.m + g
+        else:
+            self.m = c.beta1 * self.m + (1.0 - c.beta1) * g
+        if algo == "sgd":
+            self.last_eta_t = c.eta
+            return theta - c.eta * self.m
+        bc2 = 1.0 - c.beta2 ** self.t
+        if algo in ("adasgd", "adasgdmax"):
+            self.v = c.beta2 * self.v + (1.0 - c.beta2) * float(g @ g)
+            scale = self.v / bc2
+            if algo == "adasgdmax":
+                self.v_hat = max(self.v_hat, scale)
+                scale = self.v_hat
+            if scale <= 0.0:
+                self.last_eta_t = 0.0
+                return theta.copy()
+            if algo == "adasgdmax" and c.regret_decay:
+                scale = self.t * scale
+            eta_t = c.eta / np.sqrt(scale / self.dim)
+            self.last_eta_t = eta_t
+            return theta - eta_t * self.m
+        self.v = c.beta2 * self.v + (1.0 - c.beta2) * g * g
+        bc1 = 1.0 - c.beta1 ** self.t
+        if algo == "adabound":
+            rate = c.eta / (np.sqrt(self.v / bc2) + c.epsilon)
+            lower = c.eta_sgd * (1.0 - 1.0 / (c.gamma * self.t + 1.0))
+            upper = c.eta_sgd * (1.0 + 1.0 / (c.gamma * self.t))
+            rate = np.clip(rate, lower, upper)
+            return theta - rate * (self.m / bc1)
+        if algo == "amsgrad":
+            self.v_hat = np.maximum(self.v_hat, self.v / bc2)
+            denom = np.sqrt(self.v_hat * bc2) + c.epsilon
+        else:
+            denom = np.sqrt(self.v) + c.epsilon
+        return theta - c.eta * self.m / denom * (np.sqrt(bc2) / bc1)
+
+
+def same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+STATE = ("m", "v", "v_hat", "last_eta_t")
+
+
+def grid_configs(algo):
+    """The configs of the step-stream grid: both first-moment regimes, a
+    short and the default second-moment memory, epsilon 0 and the default,
+    and the regret decay where it applies."""
+    extra = {"eta_sgd": 0.1, "gamma": 1e-3} if algo == "adabound" else {}
+    decays = (False, True) if algo == "adasgdmax" else (False,)
+    return [OptimizerConfig(eta=eta, beta1=b1, beta2=b2, epsilon=eps, regret_decay=decay, **extra)
+            for eta in (0.1, 3.0) for b1 in (0.0, 0.9) for b2 in (0.5, 0.999)
+            for eps in (0.0, 1e-8) for decay in decays]
+
+
+def grid_streams(dim):
+    """Gradient streams: Gaussian at three scales, a run of exact zeros
+    before the first nonzero gradient, and a non-finite value mid-run."""
+    rng = np.random.default_rng(dim)
+    streams = [scale * rng.standard_normal((30, dim)) for scale in (1e-3, 1.0, 1e3)]
+    zeros_first = rng.standard_normal((30, dim))
+    zeros_first[:5] = 0.0
+    streams.append(zeros_first)
+    for bad in (np.inf, -np.inf, np.nan):
+        stream = rng.standard_normal((30, dim))
+        stream[12, dim - 1] = bad
+        streams.append(stream)
+    return streams
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # epsilon = 0 meets zero gradients
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_matches_reference_bitwise_on_step_stream_grid(algo):
+    steps = 0
+    for dim in (1, 3):
+        for config in grid_configs(algo):
+            for stream in grid_streams(dim):
+                new, ref = Optimizer(algo, dim, config), ReferenceOptimizer(algo, dim, config)
+                theta_new = theta_ref = np.linspace(-1.0, 1.0, dim)
+                for g in stream:
+                    theta_new, theta_ref = new.step(theta_new, g), ref.step(theta_ref, g)
+                    assert same_bits(theta_new, theta_ref)
+                    assert all(same_bits(getattr(new, k), getattr(ref, k)) for k in STATE)
+                    assert (new.t, bool(new.diverged)) == (ref.t, ref.diverged)
+                    steps += 1
+    assert steps == 2 * len(grid_configs(algo)) * 7 * 30
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_non_finite_parameters_freeze_like_reference(algo):
+    config = grid_configs(algo)[-1]
+    new, ref = Optimizer(algo, 2, config), ReferenceOptimizer(algo, 2, config)
+    for theta in (np.array([0.5, -1.0]), np.array([np.nan, 1.0]), np.array([0.5, -1.0])):
+        assert same_bits(new.step(theta, np.ones(2)), ref.step(theta, np.ones(2)))
+        assert bool(new.diverged) == ref.diverged
+    assert new.diverged and new.t == 3
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_batch_rows_match_single_runs_bitwise(algo):
+    # Rows differ in eta; one row sees a non-finite gradient at step 7 and
+    # another only zero gradients for its first 4 steps, so the batch runs
+    # through the partial-freeze and the zero-gradient paths.
+    base = grid_configs(algo)[-1]
+    configs = [OptimizerConfig(**{**vars(base), "eta": eta}) for eta in (0.05, 0.3, 2.0, 0.3)]
+    dim, rows = 3, len(configs)
+    rng = np.random.default_rng(11)
+    grads = rng.standard_normal((25, rows, dim))
+    grads[6, 1, 0] = np.nan
+    grads[:4, 2] = 0.0
+    batch = Optimizer(algo, dim, configs)
+    singles = [Optimizer(algo, dim, c) for c in configs]
+    theta = np.tile(np.linspace(-1.0, 1.0, dim), (rows, 1))
+    thetas = list(theta)
+    for g in grads:
+        theta = batch.step(theta, g)
+        thetas = [opt.step(th, g[i]) for i, (opt, th) in enumerate(zip(singles, thetas))]
+        for i, opt in enumerate(singles):
+            assert same_bits(theta[i], thetas[i])
+            for k in STATE:
+                assert same_bits(np.reshape(getattr(batch, k)[i], np.shape(getattr(opt, k))),
+                                 getattr(opt, k))
+            assert bool(batch.diverged[i]) == bool(opt.diverged)
+    assert batch.diverged.tolist() == [False, True, False, False]
+
+
+def test_batch_select_keeps_rows():
+    configs = [OptimizerConfig(eta=eta) for eta in (0.1, 0.2, 0.3)]
+    batch = Optimizer("adam", 2, configs)
+    batch.step(np.zeros((3, 2)), np.ones((3, 2)))
+    batch.select(np.array([True, False, True]))
+    assert batch.eta[:, 0].tolist() == [0.1, 0.3]
+    assert batch.m.shape == batch.v.shape == (2, 2) and batch.diverged.shape == (2,)
+
+
+def test_batch_rows_may_differ_only_in_eta():
+    with pytest.raises(ValueError, match="differ only in eta"):
+        Optimizer("adam", 2, [OptimizerConfig(eta=0.1), OptimizerConfig(eta=0.1, beta1=0.5)])
+    with pytest.raises(ValueError, match="at least one config"):
+        Optimizer("adam", 2, [])
