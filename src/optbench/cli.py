@@ -216,7 +216,7 @@ def dispatch(subcommand: str, params: dict, *, seed: int, workers: int, out_dir:
             "overrides": {k: _jsonable(v) for k, v in applied_overrides.items()},
             "config": {k: _jsonable(v) for k, v in params.items()},
             "master_seed": seed,
-            "workers": workers,
+            "workers": extra.get("workers", 1),
             "code_version": __version__,
             "files": checksums,
         }

@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .linalg import haar_orthogonal, project_box, sym_eigh
 from .optim import Optimizer, OptimizerConfig
@@ -757,8 +756,10 @@ def exact_alignment_fraction(d: int, threshold_deg: float) -> float:
         raise ValueError("need d >= 2")
     if not 0.0 < threshold_deg < 45.0:
         raise ValueError("threshold must lie in (0, 45) degrees")
+    from scipy.special import betaincc  # imported here: only align-mc needs it
+
     c2 = float(np.cos(np.radians(threshold_deg))) ** 2
-    return float(d * sp_stats.beta.sf(c2, 0.5, (d - 1) / 2.0))
+    return float(d * betaincc(0.5, (d - 1) / 2.0, c2))
 
 
 def alignment_monte_carlo(
@@ -1050,11 +1051,31 @@ def stability_swap(
     )
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each run of tied values sharing its mean rank.  The
+    ranks are exact halves, so they equal SciPy's average-method rankdata bit
+    for bit."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def stability_spearman(report: StabilityReport) -> float:
     """Spearman rank correlation between eigenvalues and mean solution change
-    (negative when small-eigenvalue directions change most)."""
-    rho, _ = sp_stats.spearmanr(report.eigenvalues, report.mean_abs_change)
-    return float(rho)
+    (negative when small-eigenvalue directions change most): the Pearson
+    correlation of average ranks, computed as SciPy's spearmanr does.  NaN,
+    without a warning, when either input is constant (as one entry is) or
+    holds a NaN."""
+    a = np.asarray(report.eigenvalues, dtype=float)
+    b = np.asarray(report.mean_abs_change, dtype=float)
+    if np.isnan(a).any() or np.isnan(b).any() or (a == a[0]).all() or (b == b[0]).all():
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(a), _average_ranks(b)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def stability_experiment(

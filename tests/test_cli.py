@@ -128,6 +128,36 @@ class TestMain:
         assert proc.returncode == 2
         assert proc.stderr.startswith("usage: optbench")
 
+    def test_import_loads_neither_scipy_stats_nor_scipy_special(self):
+        # scipy.stats (about 1 s to import) is a test-only oracle, and
+        # scipy.special is imported only where align-mc needs it.
+        src = os.path.dirname(os.path.dirname(optbench.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        code = ("import sys, optbench, optbench.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.stats', 'scipy.special'))))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("sub,overrides,recorded", [
+        ("stability", ["n=6", "d=3", "swaps=1", "seeds=1", "degenerate_n=3",
+                       "degenerate_d=4", "degenerate_rank=2"], 1),
+        ("regret", ["seeds=1", "t_values=3,5", "d=2"], 1),
+        ("heatmap", ["lambda_max_values=1", "cond_values=1", "seeds=1", "steps=5", "d=2",
+                     "n=4"], 3),
+    ])
+    def test_manifest_records_the_workers_used(self, tmp_path, capsys, sub, overrides,
+                                               recorded):
+        # Runners without a workers parameter run on one worker, whatever --workers says.
+        argv = [sub, "--seed", "1", "--out", str(tmp_path), "--workers", "3"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["workers"] == recorded
+
     def test_align_mc_run_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["align-mc", "--preset", "desk", "--seed", "7", "--out", str(out),

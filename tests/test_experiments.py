@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import optbench.experiments as experiments
 from optbench.experiments import (
@@ -11,6 +13,7 @@ from optbench.experiments import (
     PERTURBATION,
     BatchRow,
     RosterEntry,
+    StabilityReport,
     Trace,
     alignment_angle,
     alignment_monte_carlo,
@@ -227,6 +230,14 @@ class TestAlignment:
     def test_exact_fraction_2d_closed_form(self):
         # angle uniform on [0, 45] degrees in 2-d, so P(angle < 15) = 1/3
         assert exact_alignment_fraction(2, 15.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_exact_fraction_equals_the_beta_survival_function(self):
+        # SciPy's beta.sf is the oracle: v_1^2 ~ Beta(1/2, (d-1)/2).
+        for d in range(2, 401):
+            for threshold in (0.5, 5.0, 15.0, 30.0, 44.9):
+                c2 = float(np.cos(np.radians(threshold))) ** 2
+                expected = float(d * scipy.stats.beta.sf(c2, 0.5, (d - 1) / 2.0))
+                assert exact_alignment_fraction(d, threshold) == expected, (d, threshold)
 
     def test_exact_fraction_strictly_decreasing(self):
         fracs = [exact_alignment_fraction(d, 15.0) for d in (2, 10, 50, 200)]
@@ -482,3 +493,35 @@ class TestStability:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             stability_swap(10, 5, 2, derive_rng(0, 0), lambda_max=100.0, cond=1e4, rank=5)
+
+    @pytest.mark.parametrize("seed", [0, 5, 201])
+    @pytest.mark.parametrize("tag,n,d,rank", [(70, 500, 50, None), (71, 30, 50, 25)])
+    def test_spearman_equals_scipy_on_stability_reports(self, seed, tag, n, d, rank):
+        # The stability-experiment desk sizes; the degenerate pool has d - rank
+        # tied zero eigenvalues, whose directions all change by exactly zero.
+        report = stability_swap(n, d, 10, derive_rng(seed, tag, 0), lambda_max=100.0,
+                                cond=1e4, rank=rank)
+        if rank is not None:
+            assert np.count_nonzero(report.mean_abs_change == 0.0) >= d - rank
+        expected = float(scipy.stats.spearmanr(report.eigenvalues, report.mean_abs_change)[0])
+        assert stability_spearman(report) == expected
+
+    @pytest.mark.parametrize("eigenvalues,changes", [
+        ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [np.nan, 2.0, 3.0]),
+        ([np.nan, np.nan, np.nan], [1.0, 2.0, 3.0]),
+        ([1.0], [2.0]),
+    ])
+    def test_spearman_of_constant_or_nan_input_is_nan_without_a_warning(self, eigenvalues,
+                                                                        changes):
+        a, b = np.array(eigenvalues), np.array(changes)
+        report = StabilityReport(eigenvalues=a, mean_abs_change=b, mean_loss_change=b, swaps=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = stability_spearman(report)
+        assert math.isnan(rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # SciPy warns on constant input
+            assert math.isnan(scipy.stats.spearmanr(a, b)[0])

@@ -2,7 +2,9 @@
 raises anything but UsageError, any argv ends in an exit code of the 0/1/2/3
 contract (with the regret and stability runners stubbed, and again with them
 real on junk numbers), AdaSGDMax's eta_t never increases, box projection is
-idempotent, and serialized problems round-trip bit for bit."""
+idempotent, serialized problems round-trip bit for bit, the numpy Spearman
+equals SciPy's on tied and untied inputs, and AdaSGD's final distance to the
+optimum stays within its bound on generated deterministic quadratics."""
 
 import contextlib
 import functools
@@ -13,11 +15,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+import scipy.stats
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import optbench.experiments as experiments
 from optbench.cli import COMMANDS, PRESETS, UsageError, defaults, main, resolve_params
+from optbench.experiments import StabilityReport, check_distance_bound, stability_spearman
 from optbench.linalg import project_box
 from optbench.optim import Optimizer, OptimizerConfig
 from optbench.problems import GenSpec, QuadraticProblem, generate_from_seed
@@ -240,3 +244,43 @@ def test_real_runner_on_junk_numbers_exits_with_a_contract_code(sub, data):
             code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# Few distinct values, so that runs of ties (and of exact zeros) are common.
+TIE_POOL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300])
+
+
+@st.composite
+def spearman_inputs(draw):
+    """Two equal-length, non-constant, finite vectors.  Half the draws take the
+    shape of a degenerate stability report: the trailing entries of both are
+    exact zeros, as for the d - rank zero eigenvalues."""
+    n = draw(st.integers(2, 60))
+    value = st.one_of(TIE_POOL, st.integers(-3, 3).map(float),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    a = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        zeros = draw(st.integers(1, n - 1))
+        a[n - zeros:] = 0.0
+        b[n - zeros:] = 0.0
+    assume(len(set(a)) > 1 and len(set(b)) > 1)
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=spearman_inputs())
+def test_spearman_equals_scipy_bit_for_bit(inputs):
+    a, b = inputs
+    report = StabilityReport(eigenvalues=a, mean_abs_change=b, mean_loss_change=b, swaps=1)
+    assert stability_spearman(report) == float(scipy.stats.spearmanr(a, b)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 12), log_cond=st.floats(0.0, 3.0), log_eta=st.floats(-4.0, 0.0),
+       steps=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1))
+def test_adasgd_distance_stays_within_the_bound(d, log_cond, log_eta, steps, seed):
+    rows, failures = check_distance_bound(seed, d_values=(d,), cond_values=(10.0 ** log_cond,),
+                                          eta_values=(10.0 ** log_eta,), steps=steps)
+    assert failures == [], failures
+    assert rows[0]["distance"] <= rows[0]["bound"]
