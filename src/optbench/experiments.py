@@ -41,8 +41,9 @@ from .problems import (
 
 # Divergence is reported as log10 loss = 50.
 LOSS_CAP = 1e50
-# A batch recomputes exactly any screened loss at or above this (the screen's
-# grouped matmul may round differently from full_loss's matrix-vector product).
+# A batch computes a run's loss, exactly, only when its bound
+# 0.5 (||X||_F ||theta|| + ||y||)^2 reaches this; the margin below LOSS_CAP
+# covers the bound's rounding, so a bound under it proves the loss under the cap.
 SCREEN_CAP = LOSS_CAP / 2
 DIVERGED_LOG10 = 50.0
 LOG10_FLOOR = 1e-30
@@ -184,9 +185,10 @@ def run_batch(
     whose configs differ only in eta step as one batched Optimizer; rows of
     a problem share its data.  A row stops as run_trajectory's run does, on a
     frozen optimizer, a non-finite parameter or a loss over the cap, and
-    leaves the work.  Each step's losses are screened with one grouped matmul
-    per problem; a screened loss near the cap is recomputed exactly, and the
-    recorded final loss is full_loss on the final parameters.
+    leaves the work.  Each step bounds every run's loss by
+    0.5 (||X||_F ||theta|| + ||y||)^2; only a run whose bound reaches
+    SCREEN_CAP gets its loss computed, exactly, and the recorded final loss
+    is full_loss on the final parameters.
 
     Returns each row's final regret-in-loss (LOSS_CAP for a stopped run) and
     its stopped flag: run_trajectory's final_loss and diverged.
@@ -200,12 +202,13 @@ def run_batch(
         raise ValueError("the problems of a batch must share n and d")
     if any(len(row.indices) < steps for row in rows):
         raise ValueError("every row needs one sample index per step")
+    samples = np.stack([row.indices[:steps] for row in rows], axis=1)   # (steps, rows)
+    if samples.min() < 0 or samples.max() >= n:
+        raise ValueError(f"sample indices must lie in [0, {n})")
     floors = np.array([_loss_floor(p) for p in problems])
-    # data[p] = [X_p.T; y_p] (C order, for the matmul): a screen row
-    # [theta, -1] times it is X theta - y.
-    data = np.empty((len(problems), d + 1, n))
-    for k, p in enumerate(problems):
-        data[k, :d], data[k, d] = p.x.T, p.y
+    xs = np.stack([p.x for p in problems])
+    ys = np.stack([p.y for p in problems])
+    x_norm, y_norm = np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=1)
     blocks: dict[tuple, list[int]] = {}
     for i, row in enumerate(rows):
         blocks.setdefault((row.algo, astuple(replace(row.config, eta=1.0))), []).append(i)
@@ -213,32 +216,24 @@ def run_batch(
     sizes = [len(m) for m in blocks.values()]
     ids = np.array([i for m in blocks.values() for i in m])   # the row of each live run
     pid = np.array([rows[i].problem for i in ids])
-    samples = np.stack([rows[i].indices[:steps] for i in ids], axis=1)   # (steps, B)
-    if samples.min() < 0 or samples.max() >= n:
-        raise ValueError(f"sample indices must lie in [0, {n})")
-    first = 0   # the step samples[0] belongs to
     theta = np.asarray(theta0, dtype=float)[pid]
     final = np.full(len(rows), LOSS_CAP)
     stopped = np.ones(len(rows), dtype=bool)
     inv_n = 1.0 / n
     with np.errstate(all="ignore"):   # non-finite values stop their runs below
-        layout = _screen_layout(pid, data)
         for t in range(steps):
-            idx = samples[t - first]
-            g = sample_gradient(data[pid, :d, idx], data[pid, d, idx], theta, n) * inv_n
+            idx = samples[t, ids]
+            g = sample_gradient(xs[pid, idx], ys[pid, idx], theta, n) * inv_n
             start = 0
             for opt, size in zip(opts, sizes):
                 if size:
                     part = slice(start, start + size)
                     theta[part] = opt.update(theta[part], g[part])
                     start += size
-            col, slot, screen, live_data, res = layout
-            screen[col, slot, :d] = theta
-            np.matmul(screen, live_data, out=res)
-            loss = 0.5 * np.vecdot(res, res)[col, slot] - floors[pid]
+            reach = x_norm[pid] * np.sqrt(np.vecdot(theta, theta)) + y_norm[pid]
             stop = np.concatenate([opt.diverged for opt in opts])
             stop |= ~np.isfinite(theta).all(axis=1)
-            for i in np.flatnonzero(~(loss < SCREEN_CAP) & ~stop):
+            for i in np.flatnonzero(~(0.5 * reach * reach < SCREEN_CAP) & ~stop):
                 stop[i] = _over_cap(_loss_gap(problems[pid[i]], theta[i], floors[pid[i]]))
             if stop.any():
                 keep = ~stop
@@ -246,30 +241,11 @@ def run_batch(
                     opt.select(part)
                 sizes = [len(opt.diverged) for opt in opts]
                 ids, pid, theta = ids[keep], pid[keep], theta[keep]
-                samples, first = samples[t + 1 - first:, keep], t + 1
                 if not ids.size:
                     break
-                layout = _screen_layout(pid, data)
     final[ids] = [_loss_gap(problems[p], th, floors[p]) for p, th in zip(pid, theta)]
     stopped[ids] = False
     return final, stopped
-
-
-def _screen_layout(pid: np.ndarray, data: np.ndarray) -> tuple:
-    """Where each live run sits in the loss screen: the problems that still
-    have runs, each run in a slot of its own problem.  Returns (problem
-    column, slot) per run, the (P', R, d + 1) screen buffer of [theta, -1]
-    rows (idle slots are zero), the live problems' data and a (P', R, n)
-    buffer for the residuals."""
-    live, col = np.unique(pid, return_inverse=True)
-    order = np.argsort(col, kind="stable")
-    counts = np.bincount(col)
-    slot = np.empty_like(col)
-    slot[order] = np.arange(col.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    screen = np.zeros((live.size, counts.max(), data.shape[1]))
-    screen[col, slot, -1] = -1.0
-    live_data = data if live.size == len(data) else data[live]
-    return col, slot, screen, live_data, np.empty(screen.shape[:2] + data.shape[2:])
 
 
 def trajectory_experiment(
@@ -574,18 +550,22 @@ HEATMAP_ROSTER = (
 )
 
 
-# Memory budget of one sweep group: its problems' data, held twice (as built
-# and stacked for the batch), and its runs' sample indices, held twice (per
-# run and stacked).  At the paper-fig3 size (d = 100, n = 300, 3000 steps,
-# 4 optimizers) a problem takes about 0.53 MB of it; a desk angle problem
-# about 0.05 MB.
+# Memory budget of one sweep group: each problem's X and y twice (as built,
+# and in the batch's stacked (P, n, d) and (P, n) arrays), and each run's
+# sample indices twice (as drawn, and in the batch's (steps, B) array).  The
+# problems' eigenfactors (d x d), norms and floors and the runs' (B, d)
+# optimizer state are not counted.  At the paper-fig3 size (d = 100, n = 300,
+# 3000 steps, 4 optimizers) a problem takes about 0.53 MB of it; a desk angle
+# problem about 0.05 MB.
 GROUP_BYTES = 64 * 2**20
 
 
 def _map_cells(fn, items: list, workers: int) -> list:
-    """fn(item) for every item, in order; across a process pool when workers > 1."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    """fn(item) for every item, in order; across a pool of at most one process
+    per item when workers > 1."""
+    processes = min(workers, len(items))
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
@@ -620,7 +600,7 @@ def _sweep(make, params: dict, master_seed: int, cells: list[tuple],
     if not cells:
         raise ValueError("the sweep grid is empty")
     index_bytes = np.min_scalar_type(n - 1).itemsize
-    per_problem = 8 * n * (2 * d + 1) + 2 * index_bytes * len(roster) * steps
+    per_problem = 16 * n * (d + 1) + 2 * index_bytes * len(roster) * steps
     fit = max(1, GROUP_BYTES // per_problem)
     count = min(len(cells), max(workers, math.ceil(len(cells) / fit)))
     bounds = [len(cells) * k // count for k in range(count + 1)]
@@ -825,7 +805,6 @@ def minnorm_experiment(
     d: int = 2,
     lambda_max: float = 10.0,
     steps: int = 1500,
-    roster: tuple[RosterEntry, ...] = MINNORM_ROSTER,
 ) -> list[dict]:
     """Start at 0 (inside the row space) on a rank-deficient problem and track
     each optimizer's component outside the row space plus its distance to the
@@ -835,7 +814,7 @@ def minnorm_experiment(
     null_rows = problem.q[problem.lam <= RANK_CUTOFF * problem.lambda_max]
     target = min_norm_solution(problem)
     rows: list[dict] = []
-    for i_opt, entry in enumerate(roster):
+    for i_opt, entry in enumerate(MINNORM_ROSTER):
         rng = derive_rng(master_seed, 41, i_opt)
         config = OptimizerConfig(eta=entry.effective_eta(problem.lambda_max), beta1=entry.beta1)
         trace = run_trajectory(problem, entry.algo, config, steps, rng,
@@ -859,10 +838,6 @@ RIDGE_ROSTER = (
 )
 
 
-def default_ridge_alphas() -> np.ndarray:
-    return np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 60)])
-
-
 def ridge_path_experiment(
     master_seed: int,
     *,
@@ -874,8 +849,6 @@ def ridge_path_experiment(
     seeds: int = 50,
     steps: int = 1500,
     snapshot_stride: int = 10,
-    alphas: np.ndarray | None = None,
-    roster: tuple[RosterEntry, ...] = RIDGE_ROSTER,
     recursion_steps: int = 200,
 ) -> tuple[list[dict], list[dict]]:
     """Optimize random train_n-point subsamples of a generated pool from
@@ -890,8 +863,9 @@ def ridge_path_experiment(
     """
     if seeds < 1 or train_n < d:
         raise ValueError("need seeds >= 1 and train_n >= d")
-    if alphas is None:
-        alphas = default_ridge_alphas()
+    # Built here, not at import: numpy's first geomspace call costs about
+    # 0.4 MB of resident memory, which every other subcommand would pay.
+    alphas = np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 60)])
     rows: list[dict] = []
     for i_seed in range(seeds):
         rng = derive_rng(master_seed, 50, i_seed)
@@ -902,7 +876,7 @@ def ridge_path_experiment(
         if train.theta_star is None:
             continue  # degenerate subsample; d << train_n makes this vanishingly rare
         path = np.stack([ridge_solution(train, a) for a in alphas])
-        for i_opt, entry in enumerate(roster):
+        for i_opt, entry in enumerate(RIDGE_ROSTER):
             rng_run = derive_rng(master_seed, 51, i_seed, i_opt)
             config = OptimizerConfig(eta=entry.effective_eta(train.lambda_max),
                                      beta1=entry.beta1)
@@ -1156,7 +1130,6 @@ def dependence_experiment(
     seeds: int = 3,
     steps: int = 400,
     k: int = 10,
-    roster: tuple[RosterEntry, ...] = DEPENDENCE_ROSTER,
 ) -> list[dict]:
     """Top-k eigenspace fraction of each optimizer's updates on stochastic
     ill-conditioned quadratics.
@@ -1174,7 +1147,7 @@ def dependence_experiment(
                     axis_aligned=True),
             rng_problem)
         theta0 = rng_problem.standard_normal(d)
-        for i_opt, entry in enumerate(roster):
+        for i_opt, entry in enumerate(DEPENDENCE_ROSTER):
             rng_run = derive_rng(master_seed, 61, i_seed, i_opt)
             config = OptimizerConfig(eta=entry.effective_eta(problem.lambda_max),
                                      beta1=entry.beta1)

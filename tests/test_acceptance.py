@@ -82,8 +82,13 @@ def test_c04_distance_bound():
         eta_values=(1e-4, 1e-2, 1.0), steps=50_000)
     assert failures == [], failures
     worst = max(r["ratio"] for r in rows)
+    # The bound's K / (1 - beta2) slack (1e4 to 1e6) would let a 100x regression
+    # pass.  With beta1 = 0 deterministic AdaSGD settles on a period-2 orbit of
+    # radius sqrt(d) eta / 2 about the optimum, or converges inside it.
+    orbit = max(r["distance"] / (math.sqrt(r["d"]) * r["eta"] / 2) for r in rows)
+    assert orbit <= 1 + 1e-6, orbit
     report(4, f"distance <= sqrt(d) eta K / (2(1-beta2)) on all 12 grid points "
-              f"(worst ratio {worst:.3g})")
+              f"(worst ratio {worst:.3g}; worst distance / (sqrt(d) eta / 2) {orbit:.10g})")
 
 
 def test_c05_regret_bound():

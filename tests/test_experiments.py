@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 
 import optbench.experiments as experiments
+import optbench.problems as problems
 from optbench.experiments import (
     ANGLE_ROSTER,
     HEATMAP_ROSTER,
@@ -39,7 +40,13 @@ from optbench.experiments import (
 )
 from optbench.linalg import sym_eigh
 from optbench.optim import OptimizerConfig
-from optbench.problems import GenSpec, generate_least_squares, lstsq_min_norm, make_rotated_2d
+from optbench.problems import (
+    RANK_CUTOFF,
+    GenSpec,
+    generate_least_squares,
+    lstsq_min_norm,
+    make_rotated_2d,
+)
 
 EPS = np.finfo(float).eps
 
@@ -416,7 +423,102 @@ class TestBatchEngine:
         assert stopped.tolist() == [True] and final.tolist() == [LOSS_CAP]
 
 
+def counting_full_loss(monkeypatch) -> list:
+    """Count the engine's calls of full_loss; returns the one-entry counter."""
+    calls = [0]
+
+    def full_loss(problem, theta):
+        calls[0] += 1
+        return problems.full_loss(problem, theta)
+
+    monkeypatch.setattr(experiments, "full_loss", full_loss)
+    return calls
+
+
+class TestBatchStopRule:
+    """The norm bound decides which runs get an exact loss check; the stop
+    rule itself stays the exact loss against the cap."""
+
+    def test_converging_runs_evaluate_no_loss_per_step(self, monkeypatch):
+        probs = [small_problem(seed, d=4, n=40) for seed in range(3)]
+        theta0 = np.array([derive_rng(seed, 1).standard_normal(4) for seed in range(3)])
+        roster = (("sgd", 0.01), ("adam", 0.01))
+        rows = [BatchRow(k, algo, OptimizerConfig(eta=eta),
+                         derive_rng(k, 2, i_opt).integers(40, size=300))
+                for k in range(3) for i_opt, (algo, eta) in enumerate(roster)]
+        calls = counting_full_loss(monkeypatch)
+        final, stopped = run_batch(probs, theta0, rows, 300)
+        assert not stopped.any() and np.isfinite(final).all()
+        assert calls[0] == len(probs) + len(rows)   # the floors and the finals
+
+    def test_a_bound_over_the_cap_falls_back_to_the_exact_loss(self, monkeypatch):
+        # A null direction of a rank-deficient problem: a component of 1e30
+        # along it puts the bound far above SCREEN_CAP on every step, while
+        # X theta, and so the loss (about 1e27), stays under LOSS_CAP.
+        p = generate_least_squares(GenSpec(n=40, d=4, lambda_max=1.0, lambda_min=0.0),
+                                   derive_rng(0, 0))
+        null = p.q[p.lam <= RANK_CUTOFF * p.lambda_max][0]
+        theta0 = derive_rng(0, 1).standard_normal(4) + 1e30 * null
+        steps = 200
+        algos = (("sgd", 0.1), ("adam", 0.1), ("adasgd", 0.01))
+        rows = [BatchRow(0, algo, OptimizerConfig(eta=eta),
+                         derive_rng(0, 2, i).integers(40, size=steps))
+                for i, (algo, eta) in enumerate(algos)]
+        calls = counting_full_loss(monkeypatch)
+        final, stopped = run_batch([p], theta0[None], rows, steps)
+        # every step rechecked, plus the finals; no floor, as there is no unique optimum
+        assert p.theta_star is None and calls[0] == len(rows) * (steps + 1)
+        assert not stopped.any()
+        bound = 0.5 * (np.linalg.norm(p.x) * np.linalg.norm(theta0) + np.linalg.norm(p.y)) ** 2
+        assert bound >= experiments.SCREEN_CAP
+        monkeypatch.undo()
+        for i, (algo, eta) in enumerate(algos):
+            trace = run_trajectory(p, algo, OptimizerConfig(eta=eta), steps,
+                                   derive_rng(0, 2, i), theta0=theta0)
+            assert not trace.diverged and len(trace.t) == steps
+            assert 1e20 < trace.final_loss < LOSS_CAP
+            assert final[i] == trace.final_loss
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool sizes asked for and
+    maps in this process, so no process is started."""
+
+    def __init__(self, sizes: list, max_workers: int):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 class TestSweeps:
+    @pytest.mark.parametrize("items,workers,pools", [
+        (1, 64, []), (3, 64, [3]), (3, 2, [2]), (5, 1, []), (0, 4, []),
+    ])
+    def test_the_pool_has_at_most_one_process_per_item(self, monkeypatch, items, workers,
+                                                        pools):
+        sizes = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                            lambda max_workers: RecordingPool(sizes, max_workers))
+        assert experiments._map_cells(abs, list(range(-items, 0)), workers) == \
+            list(range(items, 0, -1))
+        assert sizes == pools
+
+    def test_one_cell_sweep_with_many_workers_starts_no_pool(self, monkeypatch):
+        grid = dict(lambda_max_values=(1.0,), cond_values=(1.0,), seeds=1, steps=50, d=4, n=40)
+        serial = sweep_heatmap(5, **grid, workers=1)
+        sizes = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                            lambda max_workers: RecordingPool(sizes, max_workers))
+        assert sweep_heatmap(5, **grid, workers=64) == serial
+        assert sizes == []
+
     def test_heatmap_parallel_matches_serial(self):
         grid = dict(lambda_max_values=(1.0, 1e4), cond_values=(1.0,), seeds=2, steps=100,
                     d=4, n=40)

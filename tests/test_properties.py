@@ -2,7 +2,8 @@
 raises anything but UsageError, any argv ends in an exit code of the 0/1/2/3
 contract (with the regret and stability runners stubbed, and again with them
 real on junk numbers), AdaSGDMax's eta_t never increases, box projection is
-idempotent, serialized problems round-trip bit for bit, the numpy Spearman
+idempotent, serialized problems round-trip bit for bit, the loss never exceeds
+the norm bound the batch engine's stop rule relies on, the numpy Spearman
 equals SciPy's on tied and untied inputs, and AdaSGD's final distance to the
 optimum stays within its bound on generated deterministic quadratics."""
 
@@ -24,7 +25,7 @@ from optbench.cli import COMMANDS, PRESETS, UsageError, defaults, main, resolve_
 from optbench.experiments import StabilityReport, check_distance_bound, stability_spearman
 from optbench.linalg import project_box
 from optbench.optim import Optimizer, OptimizerConfig
-from optbench.problems import GenSpec, QuadraticProblem, generate_from_seed
+from optbench.problems import GenSpec, QuadraticProblem, full_loss, generate_from_seed
 
 KEYS = [(sub, key) for sub in COMMANDS for key in defaults(sub)]
 PROPERTY = settings(max_examples=20, deadline=None,
@@ -206,6 +207,20 @@ def test_problem_json_round_trip_is_bit_identical(spec, seed):
     assert p2.seed == seed
     for name in ("x", "y", "q", "lam"):
         assert getattr(p2, name).tobytes() == getattr(p, name).tobytes(), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=gen_specs(), seed=st.integers(0, 2**63 - 1), log_scale=st.floats(-3.0, 30.0),
+       direction=st.integers(0, 2**32 - 1))
+def test_loss_is_within_the_norm_bound(spec, seed, log_scale, direction):
+    # ||X theta - y|| <= ||X||_F ||theta|| + ||y||, up to rounding: equality
+    # holds for d = 1 and y = 0, and the 1e-12 slack sits far inside the factor
+    # 2 between experiments.SCREEN_CAP and LOSS_CAP.
+    p = generate_from_seed(spec, seed)
+    theta = np.random.default_rng(direction).standard_normal(p.d)
+    theta *= 10.0 ** log_scale / np.linalg.norm(theta)
+    reach = np.linalg.norm(p.x) * np.linalg.norm(theta) + np.linalg.norm(p.y)
+    assert full_loss(p, theta) <= 0.5 * reach * reach * (1 + 1e-12)
 
 
 # Tiny sizes for the real runners; the fuzz below overrides some of these keys.
