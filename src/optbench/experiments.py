@@ -59,6 +59,19 @@ def derive_rng(master_seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, *tags)))
 
 
+def _check_spectrum(n: int, lambda_max: float, cond: float) -> None:
+    """A generated spectrum runs from lambda_max down to lambda_max / cond; its
+    smallest value must be a normal float, and the Gram matrix of n rows
+    (entries about n * lambda_max) must stay finite.  Runners call this on
+    every spectrum they will build, before any run."""
+    if not 0 < lambda_max < np.inf:
+        raise ValueError("lambda_max must be positive and finite")
+    if not 1 <= cond < np.inf:
+        raise ValueError("cond must be finite and >= 1")
+    if not (lambda_max / cond >= sys.float_info.min and n * lambda_max < np.inf):
+        raise ValueError("lambda_max / cond must be a normal float and n * lambda_max finite")
+
+
 # ---------------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------------
@@ -85,27 +98,25 @@ def run_trajectory(
     algo: str,
     config: OptimizerConfig,
     steps: int,
-    rng: np.random.Generator,
+    theta0: np.ndarray,
+    rng: np.random.Generator | None = None,
     *,
-    stochastic: bool = True,
-    theta0: np.ndarray | None = None,
     snapshot_stride: int = 0,
 ) -> Trace:
-    """Run an optimizer for a fixed number of parameter updates.
+    """Run an optimizer from theta0 for a fixed number of parameter updates.
 
-    Stochastic steps use the single-sample estimate x_i (x_i . theta - y_i)
-    (the mean-loss gradient, the convention under which the reference learning
-    rates for the figure experiments are stated); deterministic steps use the
-    full sum-loss gradient X.T (X theta - y), so the 2 / lambda_max threshold
-    applies directly.  theta0 defaults to a standard normal draw.  Divergence
-    (non-finite state or loss >= 1e50) caps the recorded value at 1e50 and
-    stops the run.
+    Given an rng, each step draws one sample and uses the single-sample
+    estimate x_i (x_i . theta - y_i) (the mean-loss gradient, the convention
+    under which the reference learning rates for the figure experiments are
+    stated); without one, each step uses the full sum-loss gradient
+    X.T (X theta - y), so the 2 / lambda_max threshold applies directly.
+    Divergence (non-finite state or loss >= 1e50) caps the recorded value at
+    1e50 and stops the run.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     d = problem.d
-    theta = (np.array(theta0, dtype=float) if theta0 is not None
-             else rng.standard_normal(d))
+    theta = np.array(theta0, dtype=float)
     base = _loss_floor(problem)
     opt = Optimizer(algo, d, config)
     snaps = [theta.copy()] if snapshot_stride >= 1 else None
@@ -116,7 +127,7 @@ def run_trajectory(
     diverged = False
     inv_n = 1.0 / problem.n
     for step_i in range(1, steps + 1):
-        if stochastic:
+        if rng is not None:
             g = stochastic_gradient(problem, theta, rng) * inv_n
         else:
             g = full_gradient(problem, theta)
@@ -261,12 +272,15 @@ def trajectory_experiment(
     steps: int = 1500,
     stochastic: bool = True,
 ) -> list[dict]:
-    """One run on a generated problem, one row per step."""
+    """One run on a generated problem from a standard normal start, one row
+    per step; it samples unless stochastic is false."""
+    _check_spectrum(n, lambda_max, cond)
     spec = GenSpec(n=n, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond)
     problem = generate_least_squares(spec, derive_rng(master_seed, 90))
-    config = OptimizerConfig(eta=eta, beta1=beta1)
-    trace = run_trajectory(problem, algo, config, steps, derive_rng(master_seed, 91),
-                           stochastic=stochastic)
+    rng = derive_rng(master_seed, 91)
+    theta0 = rng.standard_normal(d)
+    trace = run_trajectory(problem, algo, OptimizerConfig(eta=eta, beta1=beta1), steps, theta0,
+                           rng if stochastic else None)
     return [{"t": int(t), "loss": loss, "eta_t": eta_t, "grad_norm": grad_norm}
             for t, loss, eta_t, grad_norm
             in zip(trace.t, trace.loss, trace.eta_t, trace.grad_norm)]
@@ -276,10 +290,8 @@ def trajectory_experiment(
 # Theorem-level checks
 # ---------------------------------------------------------------------------
 
-def _theorem_problem(
-    d: int, cond: float, lambda_max: float, seed: int, *, n: int | None = None
-) -> QuadraticProblem:
-    spec = GenSpec(n=n or d, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond)
+def _theorem_problem(d: int, cond: float, lambda_max: float, seed: int) -> QuadraticProblem:
+    spec = GenSpec(n=d, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond)
     return generate_least_squares(spec, derive_rng(seed, 0))
 
 
@@ -300,6 +312,8 @@ def check_sgd_dichotomy(
     step budget cannot also pay for burning off an O(1) initial error at
     condition number 1e4.
     """
+    for d, cond in itertools.product(d_values, cond_values):
+        _check_spectrum(d, lambda_max, cond)
     rows: list[dict] = []
     failures: list[str] = []
     for i_d, d in enumerate(d_values):
@@ -309,8 +323,7 @@ def check_sgd_dichotomy(
             theta0 = problem.theta_star + PERTURBATION * rng.standard_normal(d)
             for mult, expect_converge in ((1.9, True), (2.1, False)):
                 config = OptimizerConfig(eta=mult / lambda_max, beta1=0.0)
-                trace = run_trajectory(problem, "sgd", config, steps, rng,
-                                       stochastic=False, theta0=theta0)
+                trace = run_trajectory(problem, "sgd", config, steps, theta0)
                 converged = (not trace.diverged) and trace.final_loss < tol
                 ok = converged if expect_converge else trace.diverged
                 rows.append({
@@ -345,16 +358,15 @@ def check_theorem_convergence_range(
     inside the convergent range, which keeps the constancy assertion free of
     seed-dependent boundary flukes.
     """
+    _check_spectrum(d, lambda_max, cond)
     problem = _theorem_problem(d, cond, lambda_max, master_seed)
     theta0 = problem.theta_star + PERTURBATION * problem.q[0]
     threshold = 2.0 / lambda_max
     rows: list[dict] = []
     failures: list[str] = []
-    for i_m, mult in enumerate(eta_multipliers):
+    for mult in eta_multipliers:
         config = OptimizerConfig(eta=mult / lambda_max, beta1=0.0, beta2=BETA2)
-        rng = derive_rng(master_seed, 2, i_m)
-        trace = run_trajectory(problem, "adasgdmax", config, steps, rng,
-                               stochastic=False, theta0=theta0)
+        trace = run_trajectory(problem, "adasgdmax", config, steps, theta0)
         eta_t = trace.eta_t
         monotone = bool(np.all(np.diff(eta_t) <= 0.0))
         reductions = int(np.sum(np.diff(eta_t) < 0.0))
@@ -401,6 +413,8 @@ def check_distance_bound(
     bound_scale < 1 artificially shrinks the bound (self-test mode for the
     failure path).
     """
+    for d, cond in itertools.product(d_values, cond_values):
+        _check_spectrum(d, lambda_max, cond)
     rows: list[dict] = []
     failures: list[str] = []
     for i_d, d in enumerate(d_values):
@@ -410,8 +424,7 @@ def check_distance_bound(
             theta0 = problem.theta_star + PERTURBATION * rng.standard_normal(d)
             for eta in eta_values:
                 config = OptimizerConfig(eta=eta, beta1=0.0, beta2=BETA2)
-                trace = run_trajectory(problem, "adasgd", config, steps, rng,
-                                       stochastic=False, theta0=theta0)
+                trace = run_trajectory(problem, "adasgd", config, steps, theta0)
                 distance = float(np.linalg.norm(trace.final_theta - problem.theta_star))
                 bound = bound_scale * np.sqrt(d) * eta * cond / (2.0 * (1.0 - BETA2))
                 ok = (not trace.diverged) and distance <= bound
@@ -534,11 +547,12 @@ class RosterEntry:
     eta_policy: str = "fixed"   # "fixed" | "inv-lambda-max" (eta / lambda_max)
     beta1: float = 0.9
 
-    def effective_eta(self, lambda_max: float) -> float:
+    def config(self, lambda_max: float) -> OptimizerConfig:
+        """The optimizer config of this entry's run on a problem with this lambda_max."""
         if self.eta_policy == "fixed":
-            return self.eta
+            return OptimizerConfig(eta=self.eta, beta1=self.beta1)
         if self.eta_policy == "inv-lambda-max":
-            return self.eta / lambda_max
+            return OptimizerConfig(eta=self.eta / lambda_max, beta1=self.beta1)
         raise ValueError(f"unknown eta policy {self.eta_policy!r}")
 
 
@@ -576,14 +590,13 @@ def _sweep_group(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     make, params, master_seed, cells, roster, steps = args
     problems, theta0, rows = [], [], []
     for k, cell in enumerate(cells):
-        problem, start, run_tags, lam_max = make(master_seed, cell, **params)
+        problem, start, run_tags = make(master_seed, cell, **params)
         problems.append(problem)
         theta0.append(start)
         for i_opt, entry in enumerate(roster):
-            config = OptimizerConfig(eta=entry.effective_eta(lam_max), beta1=entry.beta1)
             indices = derive_rng(master_seed, *run_tags, i_opt).integers(problem.n, size=steps)
             indices = indices.astype(np.min_scalar_type(problem.n - 1))   # held for every run
-            rows.append(BatchRow(k, entry.algo, config, indices))
+            rows.append(BatchRow(k, entry.algo, entry.config(problem.lambda_max), indices))
     final, stopped = run_batch(problems, np.array(theta0), rows, steps)
     shape = (len(cells), len(roster))
     return final.reshape(shape), stopped.reshape(shape)
@@ -615,7 +628,7 @@ def _heatmap_problem(master_seed, cell, *, lambda_max_values, cond_values, d, n)
     rng = derive_rng(master_seed, 20, i_l, i_c, i_seed)
     spec = GenSpec(n=n, d=d, lambda_max=lam_max, lambda_min=lam_max / cond_values[i_c])
     problem = generate_least_squares(spec, rng)
-    return problem, rng.standard_normal(d), (21, i_l, i_c, i_seed), lam_max
+    return problem, rng.standard_normal(d), (21, i_l, i_c, i_seed)
 
 
 def sweep_heatmap(
@@ -677,7 +690,7 @@ def _angle_problem(master_seed, cell, *, cond, lambda_min, n):
     # cross-angle comparisons are fully paired.
     rng = derive_rng(master_seed, 10, i_seed)
     problem = make_rotated_2d(cond, lambda_min, angle, rng, n=n)
-    return problem, rng.standard_normal(2), (11, i_seed), cond * lambda_min
+    return problem, rng.standard_normal(2), (11, i_seed)
 
 
 def sweep_angle(
@@ -815,10 +828,8 @@ def minnorm_experiment(
     target = min_norm_solution(problem)
     rows: list[dict] = []
     for i_opt, entry in enumerate(MINNORM_ROSTER):
-        rng = derive_rng(master_seed, 41, i_opt)
-        config = OptimizerConfig(eta=entry.effective_eta(problem.lambda_max), beta1=entry.beta1)
-        trace = run_trajectory(problem, entry.algo, config, steps, rng,
-                               theta0=np.zeros(d), snapshot_stride=1)
+        trace = run_trajectory(problem, entry.algo, entry.config(problem.lambda_max), steps,
+                               np.zeros(d), derive_rng(master_seed, 41, i_opt), snapshot_stride=1)
         null_norms = np.linalg.norm(trace.snapshots @ null_rows.T, axis=1)
         rows.append({
             "optimizer": entry.label,
@@ -859,52 +870,60 @@ def ridge_path_experiment(
     Also returns the per-step residual of the deterministic error recursion
     Q(theta_{t+1} - theta*) = (I - eta_t Lambda) Q(theta_t - theta*) for SGD
     and AdaSGD with beta1 = 0, which is exact algebra and must hold to float
-    precision.
+    precision; it runs first, and a singular training subsample for it is a
+    usage error.
     """
-    if seeds < 1 or train_n < d:
-        raise ValueError("need seeds >= 1 and train_n >= d")
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
+    if not d <= train_n <= pool_n:
+        raise ValueError("need d <= train_n <= pool_n")
+    if not 1 <= snapshot_stride <= steps:
+        raise ValueError("need 1 <= snapshot_stride <= steps")
+    if recursion_steps < 1:
+        raise ValueError("recursion_steps must be >= 1")
+    if not (sys.float_info.min <= lambda_min <= lambda_max and pool_n * lambda_max < np.inf):
+        raise ValueError("need 0 < lambda_min <= lambda_max, lambda_min a normal float "
+                         "and pool_n * lambda_max finite")
+    spec = GenSpec(n=pool_n, d=d, lambda_max=lambda_max, lambda_min=lambda_min)
+    recursion_rows = _ridge_recursion_check(
+        _ridge_train(spec, train_n, derive_rng(master_seed, 52)), recursion_steps)
     # Built here, not at import: numpy's first geomspace call costs about
     # 0.4 MB of resident memory, which every other subcommand would pay.
     alphas = np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 60)])
     rows: list[dict] = []
     for i_seed in range(seeds):
-        rng = derive_rng(master_seed, 50, i_seed)
-        pool = generate_least_squares(
-            GenSpec(n=pool_n, d=d, lambda_max=lambda_max, lambda_min=lambda_min), rng)
-        idx = rng.choice(pool_n, size=train_n, replace=False)
-        train = problem_from_data(pool.x[idx], pool.y[idx])
+        train = _ridge_train(spec, train_n, derive_rng(master_seed, 50, i_seed))
         if train.theta_star is None:
             continue  # degenerate subsample; d << train_n makes this vanishingly rare
         path = np.stack([ridge_solution(train, a) for a in alphas])
         for i_opt, entry in enumerate(RIDGE_ROSTER):
-            rng_run = derive_rng(master_seed, 51, i_seed, i_opt)
-            config = OptimizerConfig(eta=entry.effective_eta(train.lambda_max),
-                                     beta1=entry.beta1)
-            trace = run_trajectory(train, entry.algo, config, steps, rng_run,
-                                   theta0=np.zeros(d), snapshot_stride=snapshot_stride)
+            trace = run_trajectory(train, entry.algo, entry.config(train.lambda_max), steps,
+                                   np.zeros(d), derive_rng(master_seed, 51, i_seed, i_opt),
+                                   snapshot_stride=snapshot_stride)
             snaps = trace.snapshots[1:]  # drop theta0, which sits on the path for everyone
             dists = np.linalg.norm(snaps[:, None, :] - path[None, :, :], axis=2)
             rows.append({
                 "optimizer": entry.label, "seed": i_seed,
                 "path_discrepancy": float(dists.min(axis=1).mean()),
             })
-    recursion_rows = _ridge_recursion_check(master_seed, pool_n, train_n, d,
-                                            lambda_min, lambda_max, recursion_steps)
     return rows, recursion_rows
 
 
-def _ridge_recursion_check(master_seed, pool_n, train_n, d, lambda_min, lambda_max,
-                           steps) -> list[dict]:
-    rng = derive_rng(master_seed, 52)
-    pool = generate_least_squares(
-        GenSpec(n=pool_n, d=d, lambda_max=lambda_max, lambda_min=lambda_min), rng)
-    idx = rng.choice(pool_n, size=train_n, replace=False)
-    train = problem_from_data(pool.x[idx], pool.y[idx])
+def _ridge_train(spec: GenSpec, train_n: int, rng: np.random.Generator) -> QuadraticProblem:
+    """A train_n-point subsample, drawn without replacement, of a pool generated from spec."""
+    pool = generate_least_squares(spec, rng)
+    idx = rng.choice(spec.n, size=train_n, replace=False)
+    return problem_from_data(pool.x[idx], pool.y[idx])
+
+
+def _ridge_recursion_check(train: QuadraticProblem, steps: int) -> list[dict]:
+    if train.theta_star is None:
+        raise ValueError("the recursion check's training subsample is singular; "
+                         "lower lambda_max / lambda_min")
     rows = []
     for algo in ("sgd", "adasgd"):
         config = OptimizerConfig(eta=1e-3 / train.lambda_max, beta1=0.0)
-        trace = run_trajectory(train, algo, config, steps, derive_rng(master_seed, 53),
-                               stochastic=False, theta0=np.zeros(d), snapshot_stride=1)
+        trace = run_trajectory(train, algo, config, steps, np.zeros(train.d), snapshot_stride=1)
         err = (trace.snapshots - train.theta_star) @ train.q.T  # rows: Q e_t
         residuals = []
         for t in range(len(trace.t)):
@@ -957,18 +976,6 @@ def swap_change(
     return np.abs(diff), lam * diff ** 2
 
 
-def _check_spectrum(n: int, lambda_max: float, cond: float) -> None:
-    """The pool spectrum runs from lambda_max down to lambda_max / cond; its
-    smallest value must be a normal float, and the Gram matrix of n rows
-    (entries about n * lambda_max) must stay finite."""
-    if not 0 < lambda_max < np.inf:
-        raise ValueError("lambda_max must be positive and finite")
-    if not 1 <= cond < np.inf:
-        raise ValueError("cond must be finite and >= 1")
-    if not (lambda_max / cond >= sys.float_info.min and n * lambda_max < np.inf):
-        raise ValueError("lambda_max / cond must be a normal float and n * lambda_max finite")
-
-
 def stability_swap(
     n: int,
     d: int,
@@ -978,7 +985,6 @@ def stability_swap(
     lambda_max: float,
     cond: float,
     rank: int | None = None,
-    y_std: float = np.sqrt(30.0),
 ) -> StabilityReport:
     """Swap single data points of a synthetic Gaussian-spectrum pool and
     average the per-eigendirection change of the exact (minimum-norm when
@@ -1005,7 +1011,7 @@ def stability_swap(
         q_gen = np.eye(d)  # axis-aligned null directions stay exact
     z = rng.standard_normal((n + swaps, d))
     x_all = (z * np.sqrt(row_spectrum)) @ q_gen
-    y_all = rng.normal(0.0, y_std, size=n + swaps)
+    y_all = rng.normal(0.0, GenSpec.y_std, size=n + swaps)
     x, y = x_all[:n], y_all[:n]
     q, lam = sym_eigh(x.T @ x)
     theta = lstsq_min_norm(x, y, eig=(q, lam))
@@ -1148,11 +1154,9 @@ def dependence_experiment(
             rng_problem)
         theta0 = rng_problem.standard_normal(d)
         for i_opt, entry in enumerate(DEPENDENCE_ROSTER):
-            rng_run = derive_rng(master_seed, 61, i_seed, i_opt)
-            config = OptimizerConfig(eta=entry.effective_eta(problem.lambda_max),
-                                     beta1=entry.beta1)
-            trace = run_trajectory(problem, entry.algo, config, steps, rng_run,
-                                   theta0=theta0, snapshot_stride=1)
+            trace = run_trajectory(problem, entry.algo, entry.config(problem.lambda_max), steps,
+                                   theta0, derive_rng(master_seed, 61, i_seed, i_opt),
+                                   snapshot_stride=1)
             rows.append({
                 "optimizer": entry.label, "seed": i_seed,
                 "ratio": dependence_ratio(trace, problem.q, problem.lam, k),

@@ -11,7 +11,7 @@ log-uniformly spaced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,15 +60,7 @@ class GenSpec:
             raise ValueError("angle_2d and axis_aligned are mutually exclusive")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "lambda_max": self.lambda_max,
-            "lambda_min": self.lambda_min,
-            "y_std": self.y_std,
-            "angle_2d": self.angle_2d,
-            "axis_aligned": self.axis_aligned,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenSpec":
@@ -181,7 +173,6 @@ def make_rotated_2d(
     rng: np.random.Generator,
     *,
     n: int = 300,
-    y_std: float = np.sqrt(30.0),
 ) -> QuadraticProblem:
     """A 2-d problem whose Hessian eigenbasis is rotated angle_deg away from
     the standard axes, with eigenvalues (cond * lambda_min, lambda_min)."""
@@ -190,7 +181,7 @@ def make_rotated_2d(
     if not 0.0 <= angle_deg <= 90.0:
         raise ValueError("angle must lie in [0, 90] degrees")
     spec = GenSpec(n=n, d=2, lambda_max=cond * lambda_min, lambda_min=lambda_min,
-                   y_std=y_std, angle_2d=angle_deg)
+                   angle_2d=angle_deg)
     return generate_least_squares(spec, rng)
 
 
@@ -226,16 +217,11 @@ def full_gradient(p: QuadraticProblem, theta: np.ndarray) -> np.ndarray:
     return p.x.T @ (p.x @ theta - p.y)
 
 
-def stochastic_gradient(
-    p: QuadraticProblem,
-    theta: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    index: int | None = None,
-) -> np.ndarray:
+def stochastic_gradient(p: QuadraticProblem, theta: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
     """Single-sample estimate n * x_i (x_i . theta - y_i), unbiased for the
-    sum-loss gradient.  A forced index makes the draw deterministic for tests."""
-    i = int(rng.integers(p.n)) if index is None else index
+    sum-loss gradient, at a row i drawn uniformly by rng."""
+    i = int(rng.integers(p.n))
     return sample_gradient(p.x[i], p.y[i], theta, p.n)
 
 
@@ -251,27 +237,26 @@ def lstsq_min_norm(
     y: np.ndarray,
     *,
     eig: tuple[np.ndarray, np.ndarray] | None = None,
-    rank_cutoff: float = RANK_CUTOFF,
 ) -> np.ndarray:
     """Least-squares minimizer of smallest Euclidean norm for raw data, via the
-    spectral pseudoinverse of X.T X; eigenvalues below rank_cutoff * lambda_max
+    spectral pseudoinverse of X.T X; eigenvalues below RANK_CUTOFF * lambda_max
     are treated as zero.  eig = (q, lam) reuses a sym_eigh decomposition of
     X.T X instead of computing one."""
     q, lam = sym_eigh(x.T @ x) if eig is None else eig
     lmax = float(lam[0])
     if lmax <= 0:
         return np.zeros(x.shape[1])
-    keep = lam > rank_cutoff * lmax
+    keep = lam > RANK_CUTOFF * lmax
     w = q @ (x.T @ y)
     coeff = np.zeros_like(w)
     coeff[keep] = w[keep] / lam[keep]
     return q.T @ coeff
 
 
-def min_norm_solution(p: QuadraticProblem, *, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def min_norm_solution(p: QuadraticProblem) -> np.ndarray:
     """Least-squares minimizer of smallest Euclidean norm of the problem's
     data (lstsq_min_norm on p.x, p.y)."""
-    return lstsq_min_norm(p.x, p.y, rank_cutoff=rank_cutoff)
+    return lstsq_min_norm(p.x, p.y)
 
 
 def ridge_solution(p: QuadraticProblem, alpha: float) -> np.ndarray:

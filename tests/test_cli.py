@@ -386,6 +386,40 @@ class TestMain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "stability.csv").exists()
 
+    COND = "cond must be finite and >= 1"
+    RIDGE_SPECTRUM = ("need 0 < lambda_min <= lambda_max, lambda_min a normal float "
+                      "and pool_n * lambda_max finite")
+    STRIDE = "need 1 <= snapshot_stride <= steps"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sub,override,message", [
+        ("theorem-range", "cond=0", COND),
+        ("theorem-range", "cond=inf", COND),
+        ("theorem-range", "lambda_max=1e-320", SPECTRUM_RANGE),
+        ("distance-bound", "cond_values=10,0", COND),
+        ("distance-bound", "cond_values=inf", COND),
+        ("trajectory", "cond=0", COND),
+        ("ridge-path", "lambda_min=0", RIDGE_SPECTRUM),
+        ("ridge-path", "lambda_max=1e308", RIDGE_SPECTRUM),
+        ("ridge-path", "snapshot_stride=0", STRIDE),
+        ("ridge-path", "snapshot_stride=-10", STRIDE),
+        ("ridge-path", "steps=3", STRIDE),
+        ("ridge-path", "pool_n=5", "need d <= train_n <= pool_n"),
+        ("ridge-path", "recursion_steps=0", "recursion_steps must be >= 1"),
+        ("ridge-path", "lambda_min=1e-12", "the recursion check's training subsample is "
+                                           "singular; lower lambda_max / lambda_min"),
+    ])
+    def test_bad_value_is_usage_error_before_any_run(
+            self, tmp_path, capsys, monkeypatch, sub, override, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the inputs were checked")
+
+        monkeypatch.setattr(experiments, "run_trajectory", no_run)
+        code = main([sub, "--seed", "1", "--out", str(tmp_path), "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_library_and_cli_write_the_same_bytes(self, tmp_path, capsys):
         assert main(["angle", "--seed", "6", "--out", str(tmp_path / "cli"), "--workers", "1",
                      "--set", "seeds=1", "--set", "steps=20"]) == 0

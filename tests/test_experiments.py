@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -61,8 +62,7 @@ class TestRunTrajectory:
         p = small_problem()
         rng = derive_rng(0, 1)
         theta0 = p.theta_star + 1e-2 * rng.standard_normal(2)
-        trace = run_trajectory(p, "sgd", OptimizerConfig(eta=1.9, beta1=0.0), 2000,
-                               rng, stochastic=False, theta0=theta0)
+        trace = run_trajectory(p, "sgd", OptimizerConfig(eta=1.9, beta1=0.0), 2000, theta0)
         assert not trace.diverged
         assert len(trace.loss) == 2000  # one record per requested step
         assert trace.final_loss < 1e-10
@@ -75,8 +75,7 @@ class TestRunTrajectory:
         p = small_problem()
         rng = derive_rng(0, 2)
         theta0 = p.theta_star + 1e-2 * rng.standard_normal(2)
-        trace = run_trajectory(p, "sgd", OptimizerConfig(eta=2.1, beta1=0.0), 20_000,
-                               rng, stochastic=False, theta0=theta0)
+        trace = run_trajectory(p, "sgd", OptimizerConfig(eta=2.1, beta1=0.0), 20_000, theta0)
         assert trace.diverged
         assert trace.loss[-1] == 1e50
         assert len(trace.loss) < 20_000  # stopped early
@@ -84,7 +83,9 @@ class TestRunTrajectory:
     def test_stochastic_adam_improves(self):
         spec = GenSpec(n=300, d=100, lambda_max=1.0, lambda_min=1.0)
         p = generate_least_squares(spec, derive_rng(1, 0))
-        trace = run_trajectory(p, "adam", OptimizerConfig(eta=0.1), 3000, derive_rng(1, 1))
+        rng = derive_rng(1, 1)
+        trace = run_trajectory(p, "adam", OptimizerConfig(eta=0.1), 3000,
+                               rng.standard_normal(p.d), rng)
         assert not trace.diverged
         assert np.isfinite(trace.final_loss)
         assert trace.final_loss < trace.loss[0]
@@ -92,15 +93,16 @@ class TestRunTrajectory:
     def test_snapshots_include_start(self):
         p = small_problem()
         trace = run_trajectory(p, "sgd", OptimizerConfig(eta=0.1, beta1=0.0), 40,
-                               derive_rng(0, 3), stochastic=False, snapshot_stride=10)
+                               derive_rng(0, 3).standard_normal(2), snapshot_stride=10)
         assert trace.snapshots.shape == (5, 2)
 
     def test_trace_is_deterministic(self):
         p = small_problem(d=3, n=6)
         runs = []
         for _ in range(2):
+            rng = derive_rng(2, 7)
             trace = run_trajectory(p, "adasgd", OptimizerConfig(eta=0.01), 200,
-                                   derive_rng(2, 7))
+                                   rng.standard_normal(p.d), rng)
             runs.append(trace)
         np.testing.assert_array_equal(runs[0].loss, runs[1].loss)
         np.testing.assert_array_equal(runs[0].final_theta, runs[1].final_theta)
@@ -121,8 +123,7 @@ class TestExactOracles:
                 yield p, theta0
 
     def drift(self, p, theta0, eta, beta1, steps, oracle):
-        trace = run_trajectory(p, "sgd", OptimizerConfig(eta=eta, beta1=beta1), steps,
-                               derive_rng(0, 0), stochastic=False, theta0=theta0,
+        trace = run_trajectory(p, "sgd", OptimizerConfig(eta=eta, beta1=beta1), steps, theta0,
                                snapshot_stride=1)
         q, lam = p.q.astype(np.longdouble), p.lam.astype(np.longdouble)
         star = p.theta_star.astype(np.longdouble)
@@ -163,6 +164,20 @@ class TestTheoremChecks:
                                              steps=5000)
         assert failures == []
         assert all(r["ok"] for r in rows)
+
+    @pytest.mark.parametrize("cond_values,message", [
+        ((10.0, 0.0), "cond must be finite and >= 1"),
+        ((10.0, np.inf), "cond must be finite and >= 1"),
+        ((1e4, 1e308), "lambda_max / cond must be a normal float and n * lambda_max finite"),
+    ])
+    def test_dichotomy_checks_every_spectrum_before_any_run(self, monkeypatch, cond_values,
+                                                            message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the spectra were checked")
+
+        monkeypatch.setattr(experiments, "run_trajectory", no_run)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_sgd_dichotomy(0, cond_values=cond_values)
 
     def test_convergence_range_small(self):
         rows, failures = check_theorem_convergence_range(
@@ -305,8 +320,7 @@ def reference_heatmap_run(master_seed, lambda_max_values, cond_values, steps, d,
     problem = generate_least_squares(spec, rng_problem)
     theta0 = rng_problem.standard_normal(d)
     rng_run = derive_rng(master_seed, 21, i_l, i_c, i_seed, i_opt)
-    config = OptimizerConfig(eta=entry.effective_eta(lam_max), beta1=entry.beta1)
-    return run_trajectory(problem, entry.algo, config, steps, rng_run, theta0=theta0)
+    return run_trajectory(problem, entry.algo, entry.config(lam_max), steps, theta0, rng_run)
 
 
 def reference_angle_run(master_seed, cond, lambda_min, n, steps, roster, angle, i_seed, i_opt):
@@ -317,8 +331,7 @@ def reference_angle_run(master_seed, cond, lambda_min, n, steps, roster, angle, 
     problem = make_rotated_2d(cond, lambda_min, angle, rng_problem, n=n)
     theta0 = rng_problem.standard_normal(2)
     rng_run = derive_rng(master_seed, 11, i_seed, i_opt)
-    config = OptimizerConfig(eta=entry.effective_eta(lam_max), beta1=entry.beta1)
-    return run_trajectory(problem, entry.algo, config, steps, rng_run, theta0=theta0)
+    return run_trajectory(problem, entry.algo, entry.config(lam_max), steps, theta0, rng_run)
 
 
 # Every algorithm a roster can name, two sgd entries that differ in beta1
@@ -473,8 +486,8 @@ class TestBatchStopRule:
         assert bound >= experiments.SCREEN_CAP
         monkeypatch.undo()
         for i, (algo, eta) in enumerate(algos):
-            trace = run_trajectory(p, algo, OptimizerConfig(eta=eta), steps,
-                                   derive_rng(0, 2, i), theta0=theta0)
+            trace = run_trajectory(p, algo, OptimizerConfig(eta=eta), steps, theta0,
+                                   derive_rng(0, 2, i))
             assert not trace.diverged and len(trace.t) == steps
             assert 1e20 < trace.final_loss < LOSS_CAP
             assert final[i] == trace.final_loss

@@ -18,6 +18,7 @@ from optbench.problems import (
     problem_from_data,
     regret,
     ridge_solution,
+    sample_gradient,
     stochastic_gradient,
 )
 
@@ -201,7 +202,7 @@ class TestLossAndGradients:
         y = np.array([1.0, -2.0, 0.5])
         p = problem_from_data(x, y)
         theta = np.array([0.3, -0.7])
-        g = stochastic_gradient(p, theta, np.random.default_rng(0), index=2)
+        g = sample_gradient(p.x[2], p.y[2], theta, p.n)
         expected = 3 * x[2] * (x[2] @ theta - y[2])
         np.testing.assert_allclose(g, expected, atol=1e-14)
 
@@ -209,7 +210,7 @@ class TestLossAndGradients:
         rng = np.random.default_rng(8)
         p = problem_from_data(rng.standard_normal((6, 3)), rng.standard_normal(6))
         theta = rng.standard_normal(3)
-        avg = np.mean([stochastic_gradient(p, theta, rng, index=i) for i in range(6)], axis=0)
+        avg = np.mean([sample_gradient(p.x[i], p.y[i], theta, p.n) for i in range(6)], axis=0)
         np.testing.assert_allclose(avg, full_gradient(p, theta), atol=1e-10)
 
     def test_stochastic_zero_at_single_sample_optimum(self):

@@ -1,7 +1,7 @@
 """Property tests: config resolution never lets an ill-typed value through or
 raises anything but UsageError, any argv ends in an exit code of the 0/1/2/3
-contract (with the regret and stability runners stubbed, and again with them
-real on junk numbers), AdaSGDMax's eta_t never increases, box projection is
+contract (with every runner stubbed, and again with each real runner at a tiny
+size on junk numbers), AdaSGDMax's eta_t never increases, box projection is
 idempotent, serialized problems round-trip bit for bit, the loss never exceeds
 the norm bound the batch engine's stop rule relies on, the numpy Spearman
 equals SciPy's on tied and untied inputs, and AdaSGD's final distance to the
@@ -225,9 +225,20 @@ def test_loss_is_within_the_norm_bound(spec, seed, log_scale, direction):
 
 # Tiny sizes for the real runners; the fuzz below overrides some of these keys.
 TINY = {
+    "align-mc": {"dims": "2,3", "samples_per_dim": "20"},
+    "angle": {"angles": "0,30", "seeds": "1", "steps": "5", "n": "4"},
+    "distance-bound": {"d_values": "2", "cond_values": "10", "eta_values": "0.01",
+                       "steps": "20"},
+    "heatmap": {"lambda_max_values": "1", "cond_values": "1,10", "seeds": "1", "steps": "5",
+                "d": "2", "n": "4"},
+    "minnorm": {"n": "4", "d": "2", "steps": "20"},
     "regret": {"seeds": "1", "t_values": "3,5", "d": "2"},
+    "ridge-path": {"pool_n": "20", "train_n": "4", "seeds": "2", "steps": "20",
+                   "snapshot_stride": "5", "recursion_steps": "20"},
     "stability": {"n": "6", "d": "3", "swaps": "1", "seeds": "1", "degenerate_n": "3",
                   "degenerate_d": "4", "degenerate_rank": "2"},
+    "theorem-range": {"d": "3", "steps": "50"},
+    "trajectory": {"d": "3", "n": "6", "steps": "20"},
 }
 JUNK_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-2.5", "0.5", "1", "2", "3"]
 
@@ -239,6 +250,10 @@ def numeric_keys(sub):
         if isinstance(scalar, (int, float)) and not isinstance(scalar, bool):
             keys.append(key)
     return sorted(keys)
+
+
+def test_every_subcommand_has_a_tiny_size():
+    assert set(TINY) == set(COMMANDS)
 
 
 @pytest.mark.parametrize("sub", sorted(TINY))
