@@ -290,9 +290,13 @@ def trajectory_experiment(
 # Theorem-level checks
 # ---------------------------------------------------------------------------
 
-def _theorem_problem(d: int, cond: float, lambda_max: float, seed: int) -> QuadraticProblem:
+def _theorem_spec(d: int, cond: float, lambda_max: float) -> GenSpec:
+    """The checked spec of a theorem check's d x d problem; its checks call
+    this on every (d, cond) before any run."""
+    _check_spectrum(d, lambda_max, cond)
     spec = GenSpec(n=d, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond)
-    return generate_least_squares(spec, derive_rng(seed, 0))
+    spec.validate()
+    return spec
 
 
 def check_sgd_dichotomy(
@@ -312,13 +316,12 @@ def check_sgd_dichotomy(
     step budget cannot also pay for burning off an O(1) initial error at
     condition number 1e4.
     """
-    for d, cond in itertools.product(d_values, cond_values):
-        _check_spectrum(d, lambda_max, cond)
+    specs = [[_theorem_spec(d, cond, lambda_max) for cond in cond_values] for d in d_values]
     rows: list[dict] = []
     failures: list[str] = []
     for i_d, d in enumerate(d_values):
         for i_c, cond in enumerate(cond_values):
-            problem = _theorem_problem(d, cond, lambda_max, master_seed)
+            problem = generate_least_squares(specs[i_d][i_c], derive_rng(master_seed, 0))
             rng = derive_rng(master_seed, 1, i_d, i_c)
             theta0 = problem.theta_star + PERTURBATION * rng.standard_normal(d)
             for mult, expect_converge in ((1.9, True), (2.1, False)):
@@ -358,8 +361,8 @@ def check_theorem_convergence_range(
     inside the convergent range, which keeps the constancy assertion free of
     seed-dependent boundary flukes.
     """
-    _check_spectrum(d, lambda_max, cond)
-    problem = _theorem_problem(d, cond, lambda_max, master_seed)
+    spec = _theorem_spec(d, cond, lambda_max)
+    problem = generate_least_squares(spec, derive_rng(master_seed, 0))
     theta0 = problem.theta_star + PERTURBATION * problem.q[0]
     threshold = 2.0 / lambda_max
     rows: list[dict] = []
@@ -413,13 +416,12 @@ def check_distance_bound(
     bound_scale < 1 artificially shrinks the bound (self-test mode for the
     failure path).
     """
-    for d, cond in itertools.product(d_values, cond_values):
-        _check_spectrum(d, lambda_max, cond)
+    specs = [[_theorem_spec(d, cond, lambda_max) for cond in cond_values] for d in d_values]
     rows: list[dict] = []
     failures: list[str] = []
     for i_d, d in enumerate(d_values):
         for i_c, cond in enumerate(cond_values):
-            problem = _theorem_problem(d, cond, lambda_max, master_seed)
+            problem = generate_least_squares(specs[i_d][i_c], derive_rng(master_seed, 0))
             rng = derive_rng(master_seed, 3, i_d, i_c)
             theta0 = problem.theta_star + PERTURBATION * rng.standard_normal(d)
             for eta in eta_values:
@@ -648,8 +650,8 @@ def sweep_heatmap(
     """Per-(optimizer, lambda_max, cond, seed) final log10 regret-in-loss;
     diverged runs record exactly 50.  Each (lambda_max, cond, seed) problem
     is built once and the whole roster runs on it."""
-    if min(lambda_max_values) <= 0 or min(cond_values) < 1:
-        raise ValueError("lambda_max must be positive and cond >= 1")
+    for lambda_max, cond in itertools.product(lambda_max_values, cond_values):
+        _check_spectrum(n, lambda_max, cond)
     if seeds < 1 or steps < 1 or d < 1 or n < d:
         raise ValueError("invalid grid sizes")
     cells = list(itertools.product(range(len(lambda_max_values)), range(len(cond_values)),
@@ -708,8 +710,14 @@ def sweep_angle(
     """Final regret-in-loss of each optimizer on rotated 2-d problems, one row
     per (optimizer, angle, seed); each (angle, seed) pair shares its dataset
     and starting point across the roster."""
-    if seeds < 1:
-        raise ValueError("seeds must be >= 1")
+    if seeds < 1 or steps < 1:
+        raise ValueError("seeds and steps must be >= 1")
+    # The spectrum is (cond * lambda_min, lambda_min): _check_spectrum's
+    # conditions, in the keys this sweep takes.
+    if not 1 <= cond < np.inf:
+        raise ValueError("cond must be finite and >= 1")
+    if not (lambda_min >= sys.float_info.min and n * (cond * lambda_min) < np.inf):
+        raise ValueError("lambda_min must be a normal float and n * cond * lambda_min finite")
     cells = [(angle, i_seed) for angle in angles for i_seed in range(seeds)]
     params = {"cond": cond, "lambda_min": lambda_min, "n": n}
     final, _ = _sweep(_angle_problem, params, master_seed, cells, roster, steps, workers,

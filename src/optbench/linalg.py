@@ -1,9 +1,10 @@
 """Dense small-scale linear algebra: Haar-orthogonal sampling, Householder QR,
 symmetric eigensolvers, and Euclidean box projection.
 
-Every internal eigensolve goes through sym_eigh (LAPACK via scipy); the
-pure-Python cyclic Jacobi solver jacobi_eigh keeps the same contract and is
-the accuracy oracle the tests compare it against.
+QR (householder_qr) and every internal eigensolve (sym_eigh) go through
+LAPACK via scipy.linalg; the pure-Python cyclic Jacobi solver jacobi_eigh
+keeps sym_eigh's contract and is the accuracy oracle the tests compare it
+against.
 
 Everything here is a pure function of its inputs (plus an explicitly passed
 seeded generator where randomness is involved).
@@ -28,11 +29,13 @@ class EigenConvergenceError(RuntimeError):
 def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor a (m x n, m >= n) as q @ r with orthonormal columns in q.
 
-    The factorization is normalized so that diag(r) >= 0, which makes the
-    identity factor as q = I, r = I and makes the Gaussian -> QR map produce
-    Haar-distributed orthogonal matrices without a separate sign fix.
-    Rank-deficient input is permitted; exhausted columns leave zeros on the
-    diagonal of r.
+    LAPACK's Householder QR (geqrf via scipy.linalg.qr, economic mode), with
+    column j of q and row j of r negated wherever r[j, j] < 0.  With
+    diag(r) >= 0 the factorization of a full-rank input is unique, the
+    identity factors as q = I, r = I, and the Gaussian -> QR map produces
+    Haar-distributed orthogonal matrices whichever algorithm computes it
+    (Mezzadri, Notices of the AMS 54(5), 2007).  Rank-deficient input is
+    permitted; an exactly zero column leaves a zero on the diagonal of r.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -40,42 +43,24 @@ def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, n = a.shape
     if m < n:
         raise ValueError(f"need rows >= cols, got {m}x{n}")
-    r = a.copy()
-    q = np.eye(m)
-    for k in range(n):
-        x = r[k:, k]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        v[0] += norm_x if v[0] >= 0 else -norm_x
-        v /= np.linalg.norm(v)
-        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
-        q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v)
-    r = np.triu(r[:n, :n])
-    q = q[:, :n]
+    q, r = sp_linalg.qr(a, mode="economic")
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    r *= signs[:, None]
-    q *= signs[None, :]
-    return q, r
+    return q * signs, r * signs[:, None]
 
 
 def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample a d x d orthogonal matrix uniformly (Haar measure).
-
-    Gaussian matrix -> QR with the R diagonal forced non-negative; the
-    resulting Q is exactly Haar-distributed.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    g = rng.standard_normal((d, d))
-    q, _ = householder_qr(g)
-    return q
+    """Sample a d x d orthogonal matrix uniformly (Haar measure): the square
+    case of haar_frame, drawing the same Gaussian from rng."""
+    return haar_frame(d, d, rng)
 
 
 def haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Sample an n x k matrix with orthonormal columns, uniform on the Stiefel
-    manifold (equivalently the first k columns of a Haar n x n matrix)."""
+    manifold (equivalently the first k columns of a Haar n x n matrix).
+
+    Gaussian matrix -> QR with the R diagonal forced non-negative; the
+    resulting Q is exactly Haar-distributed.
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     g = rng.standard_normal((n, k))

@@ -398,6 +398,8 @@ class TestMain:
         ("theorem-range", "lambda_max=1e-320", SPECTRUM_RANGE),
         ("distance-bound", "cond_values=10,0", COND),
         ("distance-bound", "cond_values=inf", COND),
+        ("distance-bound", "d_values=2,1",
+         "d = 1 admits a single eigenvalue; set lambda_min = lambda_max"),
         ("trajectory", "cond=0", COND),
         ("ridge-path", "lambda_min=0", RIDGE_SPECTRUM),
         ("ridge-path", "lambda_max=1e308", RIDGE_SPECTRUM),
@@ -416,6 +418,27 @@ class TestMain:
 
         monkeypatch.setattr(experiments, "run_trajectory", no_run)
         code = main([sub, "--seed", "1", "--out", str(tmp_path), "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sub,override,message", [
+        ("heatmap", "cond_values=inf", COND),
+        ("heatmap", "lambda_max_values=1e308", SPECTRUM_RANGE),
+        ("heatmap", "lambda_max_values=1e-320", SPECTRUM_RANGE),
+        ("angle", "lambda_min=1e-320",
+         "lambda_min must be a normal float and n * cond * lambda_min finite"),
+        ("angle", "steps=-1", "seeds and steps must be >= 1"),
+    ])
+    def test_bad_sweep_value_is_usage_error_before_any_batch(
+            self, tmp_path, capsys, monkeypatch, sub, override, message):
+        def no_batch(*args):
+            raise AssertionError("a batch started before the inputs were checked")
+
+        monkeypatch.setattr(experiments, "run_batch", no_batch)
+        code = main([sub, "--seed", "1", "--out", str(tmp_path), "--workers", "1",
+                     "--set", override])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("*.csv"))

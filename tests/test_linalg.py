@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg as sp_linalg
 
 from optbench.linalg import (
     EigenConvergenceError,
@@ -45,6 +46,23 @@ class TestHouseholderQR:
         assert np.all(r[np.tril_indices(4, k=-1)] == 0.0)
         assert np.all(np.diag(r) >= 0.0)
 
+    @pytest.mark.parametrize("shape", [(30, 30), (300, 30), (50, 50), (100, 100),
+                                       (300, 100), (200, 200)])
+    def test_full_rank_matches_cholesky_oracle(self, shape):
+        # Full-rank QR with diag(R) > 0 is unique: R is the upper Cholesky
+        # factor of A.T A and Q = A R^-1.  Forming A.T A squares the condition
+        # number, so the oracle itself is only good to about kappa(A)^2 eps;
+        # the tolerance is ten times that (kappa is 1.8 to 3.6 for the tall
+        # shapes here and 150 to 1200 for the square ones).
+        a = np.random.default_rng(0).standard_normal(shape)
+        q, r = householder_qr(a)
+        r_oracle = sp_linalg.cholesky(a.T @ a)
+        q_oracle = sp_linalg.solve_triangular(r_oracle, a.T, trans="T").T
+        tol = 10 * np.linalg.cond(a) ** 2 * np.finfo(float).eps
+        assert np.max(np.abs(r - r_oracle)) <= tol * np.max(np.abs(r_oracle))
+        assert np.max(np.abs(q - q_oracle)) <= tol
+        assert np.all(r[np.tril_indices(shape[1], k=-1)] == 0.0)
+
     def test_rank_deficient_column_allowed(self):
         a = np.zeros((4, 2))
         a[:, 0] = [1.0, 2.0, 3.0, 4.0]
@@ -79,6 +97,11 @@ class TestHaar:
         v = haar_frame(20, 6, np.random.default_rng(3))
         assert v.shape == (20, 6)
         assert np.max(np.abs(v.T @ v - np.eye(6))) < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 30])
+    def test_orthogonal_is_the_square_frame(self, d):
+        q = haar_orthogonal(d, np.random.default_rng(11))
+        assert np.array_equal(q, haar_frame(d, d, np.random.default_rng(11)))
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
