@@ -59,15 +59,17 @@ def derive_rng(master_seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, *tags)))
 
 
-def _check_spectrum(n: int, lambda_max: float, cond: float) -> None:
+def _check_spectrum(n: int, lambda_max: float, cond: float, *,
+                    lambda_key: str = "lambda_max", cond_key: str = "cond") -> None:
     """A generated spectrum runs from lambda_max down to lambda_max / cond; its
     smallest value must be a normal float, and the Gram matrix of n rows
     (entries about n * lambda_max) must stay finite.  Runners call this on
-    every spectrum they will build, before any run."""
+    every spectrum they will build, before any run; the messages name the
+    runner's keys for lambda_max and cond."""
     if not 0 < lambda_max < np.inf:
-        raise ValueError("lambda_max must be positive and finite")
+        raise ValueError(f"{lambda_key} must be positive and finite")
     if not 1 <= cond < np.inf:
-        raise ValueError("cond must be finite and >= 1")
+        raise ValueError(f"{cond_key} must be finite and >= 1")
     if not (lambda_max / cond >= sys.float_info.min and n * lambda_max < np.inf):
         raise ValueError("lambda_max / cond must be a normal float and n * lambda_max finite")
 
@@ -290,10 +292,12 @@ def trajectory_experiment(
 # Theorem-level checks
 # ---------------------------------------------------------------------------
 
-def _theorem_spec(d: int, cond: float, lambda_max: float) -> GenSpec:
+def _theorem_spec(d: int, cond: float, lambda_max: float, cond_key: str = "cond") -> GenSpec:
     """The checked spec of a theorem check's d x d problem; its checks call
-    this on every (d, cond) before any run."""
-    _check_spectrum(d, lambda_max, cond)
+    this on every (d, cond) before any run, with their key for cond."""
+    _check_spectrum(d, lambda_max, cond, cond_key=cond_key)
+    if d == 1 and cond != 1:
+        raise ValueError(f"d = 1 admits a single eigenvalue; set {cond_key}=1")
     spec = GenSpec(n=d, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond)
     spec.validate()
     return spec
@@ -316,7 +320,8 @@ def check_sgd_dichotomy(
     step budget cannot also pay for burning off an O(1) initial error at
     condition number 1e4.
     """
-    specs = [[_theorem_spec(d, cond, lambda_max) for cond in cond_values] for d in d_values]
+    specs = [[_theorem_spec(d, cond, lambda_max, "cond_values") for cond in cond_values]
+             for d in d_values]
     rows: list[dict] = []
     failures: list[str] = []
     for i_d, d in enumerate(d_values):
@@ -416,7 +421,8 @@ def check_distance_bound(
     bound_scale < 1 artificially shrinks the bound (self-test mode for the
     failure path).
     """
-    specs = [[_theorem_spec(d, cond, lambda_max) for cond in cond_values] for d in d_values]
+    specs = [[_theorem_spec(d, cond, lambda_max, "cond_values") for cond in cond_values]
+             for d in d_values]
     rows: list[dict] = []
     failures: list[str] = []
     for i_d, d in enumerate(d_values):
@@ -452,6 +458,31 @@ def _regret_bound(schedule: str, eta: float, d: int, d_inf: float, g_inf: float,
             + d * d_inf * g_inf * eta * sum_term / (2.0 * np.sqrt(v_hat_1)))
 
 
+def _play_online(problems: list, prob: list[int],
+                 etas: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Play box-constrained AdaSGDMax with the 1/sqrt(t) decay from the origin
+    on every row at once: row b runs at etas[b] on problems[prob[b]], and the
+    problems share d and the box.  Returns played, with played[b, t] the point
+    row b plays in round t, and v_hat, with v_hat[t, b] row b's v-hat after
+    round t's step."""
+    t_max, d = problems[0].data.shape
+    opt = Optimizer("adasgdmax", d, [OptimizerConfig(eta=e, beta1=0.0, beta2=BETA2,
+                                                     regret_decay=True) for e in etas])
+    data = np.stack([p.data for p in problems], axis=1)  # (T, P, d)
+    tracking = np.array([p.kind == "quadratic-tracking" for p in problems])[prob, None]
+    lo, hi = problems[0].box_lo, problems[0].box_hi
+    theta = np.zeros((len(etas), d))
+    played = np.empty((len(etas), t_max, d))
+    v_hat = np.empty((t_max, len(etas)))
+    for t in range(t_max):
+        played[:, t] = theta
+        x = data[t, prob]
+        g = np.where(tracking, theta - x, x)
+        theta = project_box(opt.update(theta, g), lo, hi)
+        v_hat[t] = opt.v_hat[:, 0]
+    return played, v_hat
+
+
 def check_regret_bound(
     master_seed: int,
     *,
@@ -469,8 +500,11 @@ def check_regret_bound(
     and the D/G-scaled variant eta D_inf / (G_inf sqrt(t v-hat)); B_T / T
     decreases across horizons.
 
-    The scaled schedule is run by rescaling eta (exact algebraic identity), and
-    each bound is evaluated with the v-hat values measured during the run.
+    Every (kind, seed) problem is built and checked first; then all
+    kinds x seeds x schedules runs step as one batch, one row per run, for
+    max(t_values) rounds.  The scaled schedule is run by rescaling eta (exact
+    algebraic identity), so the rows differ only in eta, and each bound is
+    evaluated with the v-hat values measured during the run.
     The theorem bounds R_T by an O(sqrt(T)) B_T, so the average regret
     R_T / T <= B_T / T is driven to zero by the falling bound term; R_T / T
     itself need not fall from one horizon to the next (at master seed 201,
@@ -481,57 +515,53 @@ def check_regret_bound(
         raise ValueError("d must be >= 1")
     if min(t_values) < 1:
         raise ValueError("t_values must all be >= 1")
+    if len(set(t_values)) < len(t_values):
+        raise ValueError("t_values must be distinct")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    if not kinds or not schedules:
+        raise ValueError("kinds and schedules must be non-empty")
     if not set(schedules) <= {"theorem", "corollary"}:
         raise ValueError(f"schedules must be among ('theorem', 'corollary'), got {schedules}")
     for kind in kinds:
         if kind not in ONLINE_KINDS:
             raise ValueError(f"unknown online problem kind: {kind!r}")
-    rows: list[dict] = []
-    failures: list[str] = []
     t_max = max(t_values)
     checkpoints = sorted(t_values)
-    for i_k, kind in enumerate(kinds):
-        for i_s in range(seeds):
-            problem = make_online_problem(
-                kind, t_max, d, box_halfwidth, g_bound, derive_rng(master_seed, 4, i_k, i_s))
-            for schedule in schedules:
-                if schedule == "theorem":
-                    eta_run = eta
-                else:
-                    eta_run = eta * problem.diameter_inf / (problem.grad_bound_inf * np.sqrt(d))
-                config = OptimizerConfig(eta=eta_run, beta1=0.0, beta2=BETA2, regret_decay=True)
-                opt = Optimizer("adasgdmax", d, config)
-                theta = np.zeros(d)
-                played = np.empty((t_max, d))  # played[t]: the point of round t
-                v_hat = np.empty(t_max)        # v_hat[t]: v-hat after round t's step
-                for t in range(t_max):
-                    played[t] = theta
-                    g = problem.grad(t, theta)
-                    theta = project_box(opt.step(theta, g), problem.box_lo, problem.box_hi)
-                    v_hat[t] = opt.v_hat
-                bound_rates = []
-                for t in checkpoints:
-                    r_t = regret(problem, played, horizon=t)
-                    bound = _regret_bound(schedule, eta, d, problem.diameter_inf,
-                                          problem.grad_bound_inf, t, v_hat[t - 1], v_hat[0])
-                    ok = r_t <= bound
-                    rows.append({
-                        "kind": kind, "schedule": schedule, "seed": i_s, "horizon": t,
-                        "regret": r_t, "bound": bound,
-                        "ratio": r_t / bound if bound > 0 else np.inf,
-                        "regret_per_round": r_t / t, "ok": ok,
-                    })
-                    bound_rates.append(bound / t)
-                    if not ok:
-                        failures.append(
-                            f"regret bound violated: {kind}/{schedule} seed={i_s} T={t}: "
-                            f"{r_t:.4g} > {bound:.4g}")
-                if not all(b < a for a, b in zip(bound_rates, bound_rates[1:])):
-                    failures.append(
-                        f"B_T/T not strictly decreasing: {kind}/{schedule} seed={i_s}: "
-                        f"{bound_rates}")
+    problems = [make_online_problem(kind, t_max, d, box_halfwidth, g_bound,
+                                    derive_rng(master_seed, 4, i_k, i_s))
+                for i_k, kind in enumerate(kinds) for i_s in range(seeds)]
+    runs = [(i_p, schedule) for i_p in range(len(problems)) for schedule in schedules]
+    etas = [eta if schedule == "theorem" else
+            eta * problems[i_p].diameter_inf / (problems[i_p].grad_bound_inf * np.sqrt(d))
+            for i_p, schedule in runs]
+    played, v_hat = _play_online(problems, [i_p for i_p, _ in runs], etas)
+    rows: list[dict] = []
+    failures: list[str] = []
+    for b, (i_p, schedule) in enumerate(runs):
+        problem = problems[i_p]
+        kind, i_s = problem.kind, i_p % seeds
+        bound_rates = []
+        for t in checkpoints:
+            r_t = regret(problem, played[b], horizon=t)
+            bound = _regret_bound(schedule, eta, d, problem.diameter_inf,
+                                  problem.grad_bound_inf, t, v_hat[t - 1, b], v_hat[0, b])
+            ok = r_t <= bound
+            rows.append({
+                "kind": kind, "schedule": schedule, "seed": i_s, "horizon": t,
+                "regret": r_t, "bound": bound,
+                "ratio": r_t / bound if bound > 0 else np.inf,
+                "regret_per_round": r_t / t, "ok": ok,
+            })
+            bound_rates.append(float(bound / t))
+            if not ok:
+                failures.append(
+                    f"regret bound violated: {kind}/{schedule} seed={i_s} T={t}: "
+                    f"{r_t:.4g} > {bound:.4g}")
+        if not all(b_next < b_prev for b_prev, b_next in zip(bound_rates, bound_rates[1:])):
+            failures.append(
+                f"B_T/T not strictly decreasing: {kind}/{schedule} seed={i_s}: "
+                f"{bound_rates}")
     return rows, failures
 
 
@@ -651,7 +681,8 @@ def sweep_heatmap(
     diverged runs record exactly 50.  Each (lambda_max, cond, seed) problem
     is built once and the whole roster runs on it."""
     for lambda_max, cond in itertools.product(lambda_max_values, cond_values):
-        _check_spectrum(n, lambda_max, cond)
+        _check_spectrum(n, lambda_max, cond, lambda_key="lambda_max_values",
+                        cond_key="cond_values")
     if seeds < 1 or steps < 1 or d < 1 or n < d:
         raise ValueError("invalid grid sizes")
     cells = list(itertools.product(range(len(lambda_max_values)), range(len(cond_values)),

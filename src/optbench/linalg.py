@@ -184,11 +184,12 @@ def jacobi_eigh(
 
 def project_box(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the axis-aligned box [lo, hi] (coordinate-wise
-    clamping); idempotent by construction."""
+    clamping); idempotent by construction.  theta may be one (d,) vector or a
+    (B, d) batch of rows, all projected onto the same (d,) box."""
     theta = np.asarray(theta, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if lo.shape != theta.shape or hi.shape != theta.shape:
+    if lo.shape != theta.shape[-1:] or hi.shape != theta.shape[-1:]:
         raise ValueError("box bounds must match the vector shape")
     if np.any(lo > hi):
         raise ValueError("box is empty: lo > hi in some coordinate")

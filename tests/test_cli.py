@@ -341,6 +341,7 @@ class TestMain:
         ("schedules=theorem,bogus",
          "schedules must be among ('theorem', 'corollary'), got ('theorem', 'bogus')"),
         ("kinds=linear-adversarial,bogus", "unknown online problem kind: 'bogus'"),
+        ("t_values=100,100", "t_values must be distinct"),
     ])
     def test_regret_bad_value_is_usage_error_before_any_round(
             self, tmp_path, capsys, monkeypatch, override, message):
@@ -387,6 +388,7 @@ class TestMain:
         assert not (tmp_path / "stability.csv").exists()
 
     COND = "cond must be finite and >= 1"
+    COND_VALUES = "cond_values must be finite and >= 1"
     RIDGE_SPECTRUM = ("need 0 < lambda_min <= lambda_max, lambda_min a normal float "
                       "and pool_n * lambda_max finite")
     STRIDE = "need 1 <= snapshot_stride <= steps"
@@ -396,10 +398,10 @@ class TestMain:
         ("theorem-range", "cond=0", COND),
         ("theorem-range", "cond=inf", COND),
         ("theorem-range", "lambda_max=1e-320", SPECTRUM_RANGE),
-        ("distance-bound", "cond_values=10,0", COND),
-        ("distance-bound", "cond_values=inf", COND),
-        ("distance-bound", "d_values=2,1",
-         "d = 1 admits a single eigenvalue; set lambda_min = lambda_max"),
+        ("distance-bound", "cond_values=10,0", COND_VALUES),
+        ("distance-bound", "cond_values=inf", COND_VALUES),
+        ("distance-bound", "d_values=2,1", "d = 1 admits a single eigenvalue; set cond_values=1"),
+        ("theorem-range", "d=1", "d = 1 admits a single eigenvalue; set cond=1"),
         ("trajectory", "cond=0", COND),
         ("ridge-path", "lambda_min=0", RIDGE_SPECTRUM),
         ("ridge-path", "lambda_max=1e308", RIDGE_SPECTRUM),
@@ -424,7 +426,8 @@ class TestMain:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sub,override,message", [
-        ("heatmap", "cond_values=inf", COND),
+        ("heatmap", "cond_values=inf", COND_VALUES),
+        ("heatmap", "lambda_max_values=0", "lambda_max_values must be positive and finite"),
         ("heatmap", "lambda_max_values=1e308", SPECTRUM_RANGE),
         ("heatmap", "lambda_max_values=1e-320", SPECTRUM_RANGE),
         ("angle", "lambda_min=1e-320",

@@ -39,8 +39,8 @@ from optbench.experiments import (
     sweep_angle,
     sweep_heatmap,
 )
-from optbench.linalg import sym_eigh
-from optbench.optim import OptimizerConfig
+from optbench.linalg import project_box, sym_eigh
+from optbench.optim import Optimizer, OptimizerConfig
 from optbench.problems import (
     RANK_CUTOFF,
     GenSpec,
@@ -166,8 +166,8 @@ class TestTheoremChecks:
         assert all(r["ok"] for r in rows)
 
     @pytest.mark.parametrize("cond_values,message", [
-        ((10.0, 0.0), "cond must be finite and >= 1"),
-        ((10.0, np.inf), "cond must be finite and >= 1"),
+        ((10.0, 0.0), "cond_values must be finite and >= 1"),
+        ((10.0, np.inf), "cond_values must be finite and >= 1"),
         ((1e4, 1e308), "lambda_max / cond must be a normal float and n * lambda_max finite"),
     ])
     def test_dichotomy_checks_every_spectrum_before_any_run(self, monkeypatch, cond_values,
@@ -231,6 +231,74 @@ class TestTheoremChecks:
         assert per_round[2] > per_round[1]
         bound_rates = [r["bound"] / r["horizon"] for r in linear]
         assert bound_rates[0] > bound_rates[1] > bound_rates[2]
+
+
+def reference_regret_rows(master_seed, t_values, d, seeds, kinds=problems.ONLINE_KINDS,
+                          schedules=("theorem", "corollary"), box_halfwidth=1.0, g_bound=1.0,
+                          eta=1.0):
+    """The one-run-at-a-time regret loop the batch replaced, kept as its oracle."""
+    rows = []
+    checkpoints = sorted(t_values)
+    for i_k, kind in enumerate(kinds):
+        for i_s in range(seeds):
+            problem = problems.make_online_problem(
+                kind, max(t_values), d, box_halfwidth, g_bound,
+                derive_rng(master_seed, 4, i_k, i_s))
+            for schedule in schedules:
+                eta_run = eta
+                if schedule == "corollary":
+                    eta_run = eta * problem.diameter_inf / (problem.grad_bound_inf * np.sqrt(d))
+                opt = Optimizer("adasgdmax", d, OptimizerConfig(
+                    eta=eta_run, beta1=0.0, beta2=experiments.BETA2, regret_decay=True))
+                theta = np.zeros(d)
+                played = np.empty((max(t_values), d))
+                v_hat = np.empty(max(t_values))
+                for t in range(max(t_values)):
+                    played[t] = theta
+                    theta = project_box(opt.step(theta, problem.grad(t, theta)),
+                                        problem.box_lo, problem.box_hi)
+                    v_hat[t] = opt.v_hat
+                for t in checkpoints:
+                    r_t = problems.regret(problem, played, horizon=t)
+                    bound = experiments._regret_bound(
+                        schedule, eta, d, problem.diameter_inf, problem.grad_bound_inf, t,
+                        v_hat[t - 1], v_hat[0])
+                    rows.append({
+                        "kind": kind, "schedule": schedule, "seed": i_s, "horizon": t,
+                        "regret": r_t, "bound": bound,
+                        "ratio": r_t / bound if bound > 0 else np.inf,
+                        "regret_per_round": r_t / t, "ok": r_t <= bound,
+                    })
+    return rows
+
+
+class TestRegretBatch:
+    """check_regret_bound's one batch against the per-run loop: == on every
+    row, in the same order."""
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("t_values", [(1, 7, 60), (300, 1)])
+    def test_rows_match_the_per_run_loop(self, seed, d, t_values):
+        rows, _ = check_regret_bound(seed, t_values=t_values, d=d, seeds=2)
+        expected = reference_regret_rows(seed, t_values, d, seeds=2)
+        assert {(r["kind"], r["schedule"]) for r in rows} == {
+            (k, s) for k in problems.ONLINE_KINDS for s in ("theorem", "corollary")}
+        assert rows == expected
+
+    def test_rows_match_for_one_kind_and_schedule_with_a_wider_box(self):
+        params = dict(kinds=("quadratic-tracking",), schedules=("corollary",),
+                      box_halfwidth=2.5, g_bound=0.5, eta=0.3)
+        rows, _ = check_regret_bound(5, t_values=(1, 40), d=3, seeds=3, **params)
+        assert rows == reference_regret_rows(5, (1, 40), 3, seeds=3, **params)
+
+    def test_trend_failure_prints_plain_floats(self, monkeypatch):
+        # A bound linear in T keeps B_T/T flat, which the trend check rejects.
+        monkeypatch.setattr(experiments, "_regret_bound", lambda *args: np.float64(args[5]))
+        _, failures = check_regret_bound(0, kinds=("linear-adversarial",),
+                                         schedules=("theorem",), t_values=(4, 8), seeds=1)
+        assert failures == ["B_T/T not strictly decreasing: linear-adversarial/theorem "
+                            "seed=0: [1.0, 1.0]"]
 
 
 class TestAlignment:

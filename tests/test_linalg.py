@@ -261,3 +261,28 @@ class TestProjectBox:
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
             project_box(np.zeros(2), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="box is empty"):
+            project_box(np.zeros((3, 2)), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
+    def test_batch_equals_row_by_row_calls(self):
+        rng = np.random.default_rng(12)
+        lo = rng.standard_normal(5)
+        hi = lo + rng.uniform(0, 2, size=5)
+        x = rng.standard_normal((7, 5)) * 3
+        x[0] = lo  # rows on the box faces
+        x[1] = hi
+        out = project_box(x, lo, hi)
+        assert out.shape == x.shape
+        for row, projected in zip(x, out):
+            assert np.array_equal(projected, project_box(row, lo, hi))
+
+    @pytest.mark.parametrize("theta,lo,hi", [
+        (np.zeros(3), np.zeros(2), np.ones(3)),
+        (np.zeros(3), np.zeros(3), np.ones(2)),
+        (np.zeros((4, 3)), np.zeros(4), np.ones(4)),
+        (np.zeros((4, 3)), np.zeros((4, 3)), np.ones((4, 3))),
+        (np.zeros((4, 3)), np.zeros(3), np.ones((1, 3))),
+    ])
+    def test_mismatched_bounds_rejected(self, theta, lo, hi):
+        with pytest.raises(ValueError, match="box bounds must match the vector shape"):
+            project_box(theta, lo, hi)
