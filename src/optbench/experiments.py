@@ -36,7 +36,6 @@ from .problems import (
     regret,
     ridge_solution,
     sample_gradient,
-    stochastic_gradient,
 )
 
 # Divergence is reported as log10 loss = 50.
@@ -80,12 +79,15 @@ def _check_spectrum(n: int, lambda_max: float, cond: float, *,
 
 @dataclass
 class Trace:
-    """Per-iteration record of one optimizer run."""
+    """Per-iteration record of one optimizer run: one entry per step made in
+    t, loss, eta_t and grad_norm (None for a run_batch row that was not asked
+    to record them), and theta0 plus the parameters every snapshot stride
+    steps in snapshots (None without a stride)."""
 
     t: np.ndarray
-    loss: np.ndarray          # regret-in-loss when the optimum exists, else raw loss
-    eta_t: np.ndarray
-    grad_norm: np.ndarray
+    loss: np.ndarray | None       # regret-in-loss when the optimum exists, else raw loss
+    eta_t: np.ndarray | None
+    grad_norm: np.ndarray | None
     snapshots: np.ndarray | None
     diverged: bool
     final_theta: np.ndarray
@@ -105,56 +107,18 @@ def run_trajectory(
     *,
     snapshot_stride: int = 0,
 ) -> Trace:
-    """Run an optimizer from theta0 for a fixed number of parameter updates.
+    """Run an optimizer from theta0 for a fixed number of parameter updates,
+    recording every step: a one-row run_batch.
 
-    Given an rng, each step draws one sample and uses the single-sample
-    estimate x_i (x_i . theta - y_i) (the mean-loss gradient, the convention
-    under which the reference learning rates for the figure experiments are
-    stated); without one, each step uses the full sum-loss gradient
-    X.T (X theta - y), so the 2 / lambda_max threshold applies directly.
-    Divergence (non-finite state or loss >= 1e50) caps the recorded value at
-    1e50 and stops the run.
+    Given an rng, the run draws all its steps' sample indices from it up
+    front and takes single-sample steps; without one it takes full-gradient
+    steps.  A run that stops (see run_batch) records 1e50 as its last loss.
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    d = problem.d
-    theta = np.array(theta0, dtype=float)
-    base = _loss_floor(problem)
-    opt = Optimizer(algo, d, config)
-    snaps = [theta.copy()] if snapshot_stride >= 1 else None
-    ts: list[int] = []
-    losses: list[float] = []
-    etas: list[float] = []
-    gnorms: list[float] = []
-    diverged = False
-    inv_n = 1.0 / problem.n
-    for step_i in range(1, steps + 1):
-        if rng is not None:
-            g = stochastic_gradient(problem, theta, rng) * inv_n
-        else:
-            g = full_gradient(problem, theta)
-        theta = opt.step(theta, g)
-        if snaps is not None and step_i % snapshot_stride == 0:
-            snaps.append(theta.copy())
-        val = _loss_gap(problem, theta, base)
-        gn = float(np.linalg.norm(g))
-        ts.append(step_i)
-        etas.append(float(opt.last_eta_t))
-        gnorms.append(gn if np.isfinite(gn) else np.inf)
-        if opt.diverged or _over_cap(val) or not np.all(np.isfinite(theta)):
-            losses.append(LOSS_CAP)
-            diverged = True
-            break
-        losses.append(val)
-    return Trace(
-        t=np.array(ts),
-        loss=np.array(losses),
-        eta_t=np.array(etas),
-        grad_norm=np.array(gnorms),
-        snapshots=np.array(snaps) if snaps is not None else None,
-        diverged=diverged,
-        final_theta=theta,
-    )
+    row = BatchRow(0, algo, config, None if rng is None else rng.integers(problem.n, size=steps))
+    return run_batch([problem], [theta0], [row], steps, record=True,
+                     snapshot_stride=snapshot_stride).traces[0]
 
 
 def _loss_floor(problem: QuadraticProblem) -> float:
@@ -169,19 +133,31 @@ def _loss_gap(problem: QuadraticProblem, theta: np.ndarray, floor: float) -> flo
 
 
 def _over_cap(val: float) -> bool:
-    """A recorded loss that stops a run: non-finite or at least LOSS_CAP."""
+    """A loss that stops a run: non-finite or at least LOSS_CAP."""
     return not np.isfinite(val) or val >= LOSS_CAP
 
 
 @dataclass(frozen=True)
 class BatchRow:
-    """One stochastic run of a batch: the index of its problem, its optimizer,
-    and its sample indices, one per step (the draws of run_trajectory's rng)."""
+    """One run of a batch: the index of its problem, its optimizer, and its
+    sample indices, one per step, or None for full-gradient steps."""
 
     problem: int
     algo: str
     config: OptimizerConfig
-    indices: np.ndarray
+    indices: np.ndarray | None = None
+
+
+@dataclass
+class BatchResult:
+    """run_batch's outcome, one entry per row: the final regret-in-loss
+    (LOSS_CAP for a stopped row), the stopped flag, the final parameters (a
+    stopped row's where it stopped) and, when the batch recorded, its Trace."""
+
+    final_loss: np.ndarray
+    stopped: np.ndarray
+    theta: np.ndarray
+    traces: list[Trace] | None
 
 
 def run_batch(
@@ -189,35 +165,48 @@ def run_batch(
     theta0: np.ndarray,
     rows: list[BatchRow],
     steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Many stochastic runs as one (B, d) array program.
+    *,
+    record: bool = False,
+    snapshot_stride: int = 0,
+) -> BatchResult:
+    """Every least-squares run, as one (B, d) array program over the rows.
 
     Row i runs rows[i].algo on problems[rows[i].problem] from
-    theta0[rows[i].problem] and makes, bit for bit, the updates of
-    run_trajectory with an rng whose sample draws are rows[i].indices.  Rows
-    whose configs differ only in eta step as one batched Optimizer; rows of
-    a problem share its data.  A row stops as run_trajectory's run does, on a
-    frozen optimizer, a non-finite parameter or a loss over the cap, and
-    leaves the work.  Each step bounds every run's loss by
-    0.5 (||X||_F ||theta|| + ||y||)^2; only a run whose bound reaches
-    SCREEN_CAP gets its loss computed, exactly, and the recorded final loss
-    is full_loss on the final parameters.
+    theta0[rows[i].problem] for a fixed number of parameter updates.  With
+    sample indices, step t uses the single-sample estimate
+    x_i (x_i . theta - y_i), i = indices[t] (the mean-loss gradient, the
+    convention under which the figure experiments' learning rates are
+    stated); without, the full sum-loss gradient X.T (X theta - y), so the
+    2 / lambda_max threshold applies directly.  The rows of a batch all carry
+    indices or none do.  Rows whose configs differ only in eta step as one
+    batched Optimizer; rows of a problem share its data.
 
-    Returns each row's final regret-in-loss (LOSS_CAP for a stopped run) and
-    its stopped flag: run_trajectory's final_loss and diverged.
+    A row stops, and leaves the work, on a frozen optimizer (a non-finite
+    gradient or parameter), a non-finite parameter or a loss of at least
+    LOSS_CAP.  Each step bounds every run's loss by
+    0.5 (||X||_F ||theta|| + ||y||)^2; only a run whose bound reaches
+    SCREEN_CAP gets its loss computed, exactly.  With record, every run's
+    loss is computed each step, and each row's Trace holds its per-step
+    regret-in-loss (LOSS_CAP at the step that stops it), eta_t and gradient
+    norm; with snapshot_stride >= 1 it holds theta0 and the parameters every
+    snapshot_stride steps.  Without either, nothing is kept per step.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     if not rows:
         raise ValueError("a batch needs at least one row")
+    if snapshot_stride < 0:
+        raise ValueError("snapshot_stride must be >= 0")
     n, d = problems[0].x.shape
     if any(p.x.shape != (n, d) for p in problems):
         raise ValueError("the problems of a batch must share n and d")
-    if any(len(row.indices) < steps for row in rows):
-        raise ValueError("every row needs one sample index per step")
-    samples = np.stack([row.indices[:steps] for row in rows], axis=1)   # (steps, rows)
-    if samples.min() < 0 or samples.max() >= n:
-        raise ValueError(f"sample indices must lie in [0, {n})")
+    samples = None
+    if any(row.indices is not None for row in rows):
+        if any(row.indices is None or len(row.indices) < steps for row in rows):
+            raise ValueError("every row needs one sample index per step, or none does")
+        samples = np.stack([row.indices[:steps] for row in rows], axis=1)   # (steps, rows)
+        if samples.min() < 0 or samples.max() >= n:
+            raise ValueError(f"sample indices must lie in [0, {n})")
     floors = np.array([_loss_floor(p) for p in problems])
     xs = np.stack([p.x for p in problems])
     ys = np.stack([p.y for p in problems])
@@ -232,23 +221,47 @@ def run_batch(
     theta = np.asarray(theta0, dtype=float)[pid]
     final = np.full(len(rows), LOSS_CAP)
     stopped = np.ones(len(rows), dtype=bool)
+    final_theta = np.empty((len(rows), d))
+    made = np.full(len(rows), steps)   # the steps each row made
+    if record:
+        history = np.full((3, steps, len(rows)), np.nan)   # loss, eta_t, grad norm
+    if snapshot_stride:
+        snaps = np.full((1 + steps // snapshot_stride, len(rows), d), np.nan)
+        snaps[0, ids] = theta
     inv_n = 1.0 / n
     with np.errstate(all="ignore"):   # non-finite values stop their runs below
         for t in range(steps):
-            idx = samples[t, ids]
-            g = sample_gradient(xs[pid, idx], ys[pid, idx], theta, n) * inv_n
+            if samples is None:
+                g = np.array([full_gradient(problems[p], th) for p, th in zip(pid, theta)])
+            else:
+                idx = samples[t, ids]
+                g = sample_gradient(xs[pid, idx], ys[pid, idx], theta, n) * inv_n
             start = 0
             for opt, size in zip(opts, sizes):
                 if size:
                     part = slice(start, start + size)
                     theta[part] = opt.update(theta[part], g[part])
                     start += size
-            reach = x_norm[pid] * np.sqrt(np.vecdot(theta, theta)) + y_norm[pid]
             stop = np.concatenate([opt.diverged for opt in opts])
             stop |= ~np.isfinite(theta).all(axis=1)
-            for i in np.flatnonzero(~(0.5 * reach * reach < SCREEN_CAP) & ~stop):
-                stop[i] = _over_cap(_loss_gap(problems[pid[i]], theta[i], floors[pid[i]]))
+            if record:
+                loss = np.array([_loss_gap(problems[p], th, floors[p])
+                                 for p, th in zip(pid, theta)])
+                stop |= ~(loss < LOSS_CAP)   # non-finite or at least the cap
+                loss[stop] = LOSS_CAP
+                grad_norm = np.sqrt(np.vecdot(g, g))
+                history[:, t, ids] = (
+                    loss, np.concatenate([opt.last_eta_t[:, 0] for opt in opts]),
+                    np.where(np.isfinite(grad_norm), grad_norm, np.inf))
+            else:
+                reach = x_norm[pid] * np.sqrt(np.vecdot(theta, theta)) + y_norm[pid]
+                for i in np.flatnonzero(~(0.5 * reach * reach < SCREEN_CAP) & ~stop):
+                    stop[i] = _over_cap(_loss_gap(problems[pid[i]], theta[i], floors[pid[i]]))
+            if snapshot_stride and (t + 1) % snapshot_stride == 0:
+                snaps[(t + 1) // snapshot_stride, ids] = theta
             if stop.any():
+                made[ids[stop]] = t + 1
+                final_theta[ids[stop]] = theta[stop]
                 keep = ~stop
                 for opt, part in zip(opts, np.split(keep, np.cumsum(sizes)[:-1])):
                     opt.select(part)
@@ -258,7 +271,19 @@ def run_batch(
                     break
     final[ids] = [_loss_gap(problems[p], th, floors[p]) for p, th in zip(pid, theta)]
     stopped[ids] = False
-    return final, stopped
+    final_theta[ids] = theta
+    traces = None
+    if record or snapshot_stride:
+        traces = [Trace(
+            t=np.arange(1, k + 1),
+            loss=history[0, :k, i] if record else None,
+            eta_t=history[1, :k, i] if record else None,
+            grad_norm=history[2, :k, i] if record else None,
+            snapshots=snaps[:1 + k // snapshot_stride, i] if snapshot_stride else None,
+            diverged=bool(stopped[i]),
+            final_theta=final_theta[i],
+        ) for i, k in enumerate(made)]
+    return BatchResult(final, stopped, final_theta, traces)
 
 
 def trajectory_experiment(
@@ -276,8 +301,9 @@ def trajectory_experiment(
 ) -> list[dict]:
     """One run on a generated problem from a standard normal start, one row
     per step; it samples unless stochastic is false."""
-    _check_spectrum(n, lambda_max, cond)
-    spec = GenSpec(n=n, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    spec = _checked_spec(n, d, lambda_max, cond)
     problem = generate_least_squares(spec, derive_rng(master_seed, 90))
     rng = derive_rng(master_seed, 91)
     theta0 = rng.standard_normal(d)
@@ -292,15 +318,33 @@ def trajectory_experiment(
 # Theorem-level checks
 # ---------------------------------------------------------------------------
 
-def _theorem_spec(d: int, cond: float, lambda_max: float, cond_key: str = "cond") -> GenSpec:
-    """The checked spec of a theorem check's d x d problem; its checks call
-    this on every (d, cond) before any run, with their key for cond."""
-    _check_spectrum(d, lambda_max, cond, cond_key=cond_key)
+def _checked_spec(n: int, d: int, lambda_max: float, cond: float, *,
+                  lambda_key: str = "lambda_max", cond_key: str = "cond",
+                  axis_aligned: bool = False) -> GenSpec:
+    """The checked recipe of an n x d problem whose spectrum runs from
+    lambda_max down to lambda_max / cond.  Runners call this on every
+    spectrum they will build, before any run; the messages name the runner's
+    keys for lambda_max and cond."""
+    _check_spectrum(n, lambda_max, cond, lambda_key=lambda_key, cond_key=cond_key)
     if d == 1 and cond != 1:
         raise ValueError(f"d = 1 admits a single eigenvalue; set {cond_key}=1")
-    spec = GenSpec(n=d, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond)
+    if n < d:
+        raise ValueError("n < d forces a singular X.T X; set n >= d")
+    spec = GenSpec(n=n, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond,
+                   axis_aligned=axis_aligned)
     spec.validate()
     return spec
+
+
+def _perturbed_starts(specs: list[GenSpec], master_seed: int,
+                      *tags: int) -> tuple[list[QuadraticProblem], np.ndarray]:
+    """The problems of a theorem check's specs, and for problem k a start
+    PERTURBATION times a standard normal draw of derive_rng(master_seed,
+    *tags, k) away from its optimum."""
+    problems = [generate_least_squares(spec, derive_rng(master_seed, 0)) for spec in specs]
+    return problems, np.array([
+        p.theta_star + PERTURBATION * derive_rng(master_seed, *tags, k).standard_normal(p.d)
+        for k, p in enumerate(problems)])
 
 
 def check_sgd_dichotomy(
@@ -320,28 +364,30 @@ def check_sgd_dichotomy(
     step budget cannot also pay for burning off an O(1) initial error at
     condition number 1e4.
     """
-    specs = [[_theorem_spec(d, cond, lambda_max, "cond_values") for cond in cond_values]
-             for d in d_values]
+    specs = [[_checked_spec(d, d, lambda_max, cond, cond_key="cond_values")
+              for cond in cond_values] for d in d_values]
+    runs = [(i_c, mult, expect_converge) for i_c in range(len(cond_values))
+            for mult, expect_converge in ((1.9, True), (2.1, False))]
     rows: list[dict] = []
     failures: list[str] = []
     for i_d, d in enumerate(d_values):
-        for i_c, cond in enumerate(cond_values):
-            problem = generate_least_squares(specs[i_d][i_c], derive_rng(master_seed, 0))
-            rng = derive_rng(master_seed, 1, i_d, i_c)
-            theta0 = problem.theta_star + PERTURBATION * rng.standard_normal(d)
-            for mult, expect_converge in ((1.9, True), (2.1, False)):
-                config = OptimizerConfig(eta=mult / lambda_max, beta1=0.0)
-                trace = run_trajectory(problem, "sgd", config, steps, theta0)
-                converged = (not trace.diverged) and trace.final_loss < tol
-                ok = converged if expect_converge else trace.diverged
-                rows.append({
-                    "d": d, "cond": cond, "eta_multiplier": mult,
-                    "final_regret": trace.final_loss, "diverged": trace.diverged,
-                    "converged": converged, "ok": ok,
-                })
-                if not ok:
-                    failures.append(
-                        f"sgd dichotomy violated at d={d} cond={cond} eta={mult}/lambda_max")
+        problems, theta0 = _perturbed_starts(specs[i_d], master_seed, 1, i_d)
+        result = run_batch(problems, theta0, [
+            BatchRow(i_c, "sgd", OptimizerConfig(eta=mult / lambda_max, beta1=0.0))
+            for i_c, mult, _ in runs], steps)
+        for i, (i_c, mult, expect_converge) in enumerate(runs):
+            cond, diverged = cond_values[i_c], bool(result.stopped[i])
+            final_regret = float(result.final_loss[i])
+            converged = (not diverged) and final_regret < tol
+            ok = converged if expect_converge else diverged
+            rows.append({
+                "d": d, "cond": cond, "eta_multiplier": mult,
+                "final_regret": final_regret, "diverged": diverged,
+                "converged": converged, "ok": ok,
+            })
+            if not ok:
+                failures.append(
+                    f"sgd dichotomy violated at d={d} cond={cond} eta={mult}/lambda_max")
     return rows, failures
 
 
@@ -366,15 +412,16 @@ def check_theorem_convergence_range(
     inside the convergent range, which keeps the constancy assertion free of
     seed-dependent boundary flukes.
     """
-    spec = _theorem_spec(d, cond, lambda_max)
+    spec = _checked_spec(d, d, lambda_max, cond)
     problem = generate_least_squares(spec, derive_rng(master_seed, 0))
     theta0 = problem.theta_star + PERTURBATION * problem.q[0]
     threshold = 2.0 / lambda_max
+    traces = run_batch([problem], theta0[None], [
+        BatchRow(0, "adasgdmax", OptimizerConfig(eta=mult / lambda_max, beta1=0.0, beta2=BETA2))
+        for mult in eta_multipliers], steps, record=True).traces
     rows: list[dict] = []
     failures: list[str] = []
-    for mult in eta_multipliers:
-        config = OptimizerConfig(eta=mult / lambda_max, beta1=0.0, beta2=BETA2)
-        trace = run_trajectory(problem, "adasgdmax", config, steps, theta0)
+    for mult, trace in zip(eta_multipliers, traces):
         eta_t = trace.eta_t
         monotone = bool(np.all(np.diff(eta_t) <= 0.0))
         reductions = int(np.sum(np.diff(eta_t) < 0.0))
@@ -421,30 +468,30 @@ def check_distance_bound(
     bound_scale < 1 artificially shrinks the bound (self-test mode for the
     failure path).
     """
-    specs = [[_theorem_spec(d, cond, lambda_max, "cond_values") for cond in cond_values]
-             for d in d_values]
+    specs = [[_checked_spec(d, d, lambda_max, cond, cond_key="cond_values")
+              for cond in cond_values] for d in d_values]
+    runs = list(itertools.product(range(len(cond_values)), eta_values))
     rows: list[dict] = []
     failures: list[str] = []
     for i_d, d in enumerate(d_values):
-        for i_c, cond in enumerate(cond_values):
-            problem = generate_least_squares(specs[i_d][i_c], derive_rng(master_seed, 0))
-            rng = derive_rng(master_seed, 3, i_d, i_c)
-            theta0 = problem.theta_star + PERTURBATION * rng.standard_normal(d)
-            for eta in eta_values:
-                config = OptimizerConfig(eta=eta, beta1=0.0, beta2=BETA2)
-                trace = run_trajectory(problem, "adasgd", config, steps, theta0)
-                distance = float(np.linalg.norm(trace.final_theta - problem.theta_star))
-                bound = bound_scale * np.sqrt(d) * eta * cond / (2.0 * (1.0 - BETA2))
-                ok = (not trace.diverged) and distance <= bound
-                rows.append({
-                    "d": d, "cond": cond, "eta": eta,
-                    "distance": distance, "bound": bound,
-                    "ratio": distance / bound if bound > 0 else np.inf, "ok": ok,
-                })
-                if not ok:
-                    failures.append(
-                        f"distance bound violated at d={d} cond={cond} eta={eta}: "
-                        f"{distance:.4g} > {bound:.4g}")
+        problems, theta0 = _perturbed_starts(specs[i_d], master_seed, 3, i_d)
+        result = run_batch(problems, theta0, [
+            BatchRow(i_c, "adasgd", OptimizerConfig(eta=eta, beta1=0.0, beta2=BETA2))
+            for i_c, eta in runs], steps)
+        for i, (i_c, eta) in enumerate(runs):
+            cond = cond_values[i_c]
+            distance = float(np.linalg.norm(result.theta[i] - problems[i_c].theta_star))
+            bound = bound_scale * np.sqrt(d) * eta * cond / (2.0 * (1.0 - BETA2))
+            ok = (not result.stopped[i]) and distance <= bound
+            rows.append({
+                "d": d, "cond": cond, "eta": eta,
+                "distance": distance, "bound": bound,
+                "ratio": distance / bound if bound > 0 else np.inf, "ok": ok,
+            })
+            if not ok:
+                failures.append(
+                    f"distance bound violated at d={d} cond={cond} eta={eta}: "
+                    f"{distance:.4g} > {bound:.4g}")
     return rows, failures
 
 
@@ -616,22 +663,28 @@ def _map_cells(fn, items: list, workers: int) -> list:
     return [fn(item) for item in items]
 
 
-def _sweep_group(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Build one group of sweep problems and run the whole roster on each as
-    one batch; (final regret-in-loss, stopped) per (problem, roster entry)."""
-    make, params, master_seed, cells, roster, steps = args
-    problems, theta0, rows = [], [], []
-    for k, cell in enumerate(cells):
-        problem, start, run_tags = make(master_seed, cell, **params)
-        problems.append(problem)
-        theta0.append(start)
+def _roster_rows(master_seed: int, problems: list[QuadraticProblem], tags: list[tuple],
+                 roster: tuple[RosterEntry, ...], steps: int) -> list[BatchRow]:
+    """One stochastic row per (problem, roster entry), problem-major: entry
+    i_opt's run on problems[k] samples with derive_rng(master_seed, *tags[k], i_opt)."""
+    rows = []
+    for k, (problem, run_tags) in enumerate(zip(problems, tags)):
         for i_opt, entry in enumerate(roster):
             indices = derive_rng(master_seed, *run_tags, i_opt).integers(problem.n, size=steps)
             indices = indices.astype(np.min_scalar_type(problem.n - 1))   # held for every run
             rows.append(BatchRow(k, entry.algo, entry.config(problem.lambda_max), indices))
-    final, stopped = run_batch(problems, np.array(theta0), rows, steps)
+    return rows
+
+
+def _sweep_group(args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Build one group of sweep problems and run the whole roster on each as
+    one batch; (final regret-in-loss, stopped) per (problem, roster entry)."""
+    make, params, master_seed, cells, roster, steps = args
+    problems, theta0, tags = zip(*(make(master_seed, cell, **params) for cell in cells))
+    result = run_batch(list(problems), np.array(theta0),
+                       _roster_rows(master_seed, problems, tags, roster, steps), steps)
     shape = (len(cells), len(roster))
-    return final.reshape(shape), stopped.reshape(shape)
+    return result.final_loss.reshape(shape), result.stopped.reshape(shape)
 
 
 def _sweep(make, params: dict, master_seed: int, cells: list[tuple],
@@ -681,10 +734,10 @@ def sweep_heatmap(
     diverged runs record exactly 50.  Each (lambda_max, cond, seed) problem
     is built once and the whole roster runs on it."""
     for lambda_max, cond in itertools.product(lambda_max_values, cond_values):
-        _check_spectrum(n, lambda_max, cond, lambda_key="lambda_max_values",
-                        cond_key="cond_values")
-    if seeds < 1 or steps < 1 or d < 1 or n < d:
-        raise ValueError("invalid grid sizes")
+        _checked_spec(n, d, lambda_max, cond, lambda_key="lambda_max_values",
+                      cond_key="cond_values")
+    if seeds < 1 or steps < 1:
+        raise ValueError("seeds and steps must be >= 1")
     cells = list(itertools.product(range(len(lambda_max_values)), range(len(cond_values)),
                                    range(seeds)))
     params = {"lambda_max_values": lambda_max_values, "cond_values": cond_values,
@@ -861,14 +914,19 @@ def minnorm_experiment(
     """Start at 0 (inside the row space) on a rank-deficient problem and track
     each optimizer's component outside the row space plus its distance to the
     minimum-norm solution."""
+    if d < 2:
+        raise ValueError("d must be >= 2: the problem needs a positive and a zero eigenvalue")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     spec = GenSpec(n=n, d=d, lambda_max=lambda_max, lambda_min=0.0)
     problem = generate_least_squares(spec, derive_rng(master_seed, 40))
     null_rows = problem.q[problem.lam <= RANK_CUTOFF * problem.lambda_max]
     target = min_norm_solution(problem)
+    traces = run_batch([problem], np.zeros((1, d)),
+                       _roster_rows(master_seed, [problem], [(41,)], MINNORM_ROSTER, steps),
+                       steps, snapshot_stride=1).traces
     rows: list[dict] = []
-    for i_opt, entry in enumerate(MINNORM_ROSTER):
-        trace = run_trajectory(problem, entry.algo, entry.config(problem.lambda_max), steps,
-                               np.zeros(d), derive_rng(master_seed, 41, i_opt), snapshot_stride=1)
+    for entry, trace in zip(MINNORM_ROSTER, traces):
         null_norms = np.linalg.norm(trace.snapshots @ null_rows.T, axis=1)
         rows.append({
             "optimizer": entry.label,
@@ -929,17 +987,22 @@ def ridge_path_experiment(
     # Built here, not at import: numpy's first geomspace call costs about
     # 0.4 MB of resident memory, which every other subcommand would pay.
     alphas = np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 60)])
+    trains = [(i_seed, _ridge_train(spec, train_n, derive_rng(master_seed, 50, i_seed)))
+              for i_seed in range(seeds)]
+    # Degenerate subsamples are skipped; d << train_n makes them vanishingly rare.
+    trains = [(i_seed, train) for i_seed, train in trains if train.theta_star is not None]
+    if not trains:
+        return [], recursion_rows
+    problems = [train for _, train in trains]
+    traces = run_batch(problems, np.zeros((len(problems), d)),
+                       _roster_rows(master_seed, problems, [(51, i_seed) for i_seed, _ in trains],
+                                    RIDGE_ROSTER, steps),
+                       steps, snapshot_stride=snapshot_stride).traces
     rows: list[dict] = []
-    for i_seed in range(seeds):
-        train = _ridge_train(spec, train_n, derive_rng(master_seed, 50, i_seed))
-        if train.theta_star is None:
-            continue  # degenerate subsample; d << train_n makes this vanishingly rare
+    for k, (i_seed, train) in enumerate(trains):
         path = np.stack([ridge_solution(train, a) for a in alphas])
         for i_opt, entry in enumerate(RIDGE_ROSTER):
-            trace = run_trajectory(train, entry.algo, entry.config(train.lambda_max), steps,
-                                   np.zeros(d), derive_rng(master_seed, 51, i_seed, i_opt),
-                                   snapshot_stride=snapshot_stride)
-            snaps = trace.snapshots[1:]  # drop theta0, which sits on the path for everyone
+            snaps = traces[k * len(RIDGE_ROSTER) + i_opt].snapshots[1:]  # theta0 is on every path
             dists = np.linalg.norm(snaps[:, None, :] - path[None, :, :], axis=2)
             rows.append({
                 "optimizer": entry.label, "seed": i_seed,
@@ -959,10 +1022,13 @@ def _ridge_recursion_check(train: QuadraticProblem, steps: int) -> list[dict]:
     if train.theta_star is None:
         raise ValueError("the recursion check's training subsample is singular; "
                          "lower lambda_max / lambda_min")
+    algos = ("sgd", "adasgd")
+    config = OptimizerConfig(eta=1e-3 / train.lambda_max, beta1=0.0)
+    traces = run_batch([train], np.zeros((1, train.d)),
+                       [BatchRow(0, algo, config) for algo in algos], steps,
+                       record=True, snapshot_stride=1).traces
     rows = []
-    for algo in ("sgd", "adasgd"):
-        config = OptimizerConfig(eta=1e-3 / train.lambda_max, beta1=0.0)
-        trace = run_trajectory(train, algo, config, steps, np.zeros(train.d), snapshot_stride=1)
+    for algo, trace in zip(algos, traces):
         err = (trace.snapshots - train.theta_star) @ train.q.T  # rows: Q e_t
         residuals = []
         for t in range(len(trace.t)):
@@ -1184,20 +1250,23 @@ def dependence_experiment(
     (with a generic rotation the per-coordinate gradient variances are nearly
     uniform and every optimizer projects identically).
     """
-    rows: list[dict] = []
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
+    if not 1 <= k <= d:
+        raise ValueError("need 1 <= k <= d")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    spec = _checked_spec(n, d, lambda_max, cond, axis_aligned=True)
+    problems, theta0 = [], []
     for i_seed in range(seeds):
         rng_problem = derive_rng(master_seed, 60, i_seed)
-        problem = generate_least_squares(
-            GenSpec(n=n, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond,
-                    axis_aligned=True),
-            rng_problem)
-        theta0 = rng_problem.standard_normal(d)
-        for i_opt, entry in enumerate(DEPENDENCE_ROSTER):
-            trace = run_trajectory(problem, entry.algo, entry.config(problem.lambda_max), steps,
-                                   theta0, derive_rng(master_seed, 61, i_seed, i_opt),
-                                   snapshot_stride=1)
-            rows.append({
-                "optimizer": entry.label, "seed": i_seed,
-                "ratio": dependence_ratio(trace, problem.q, problem.lam, k),
-            })
-    return rows
+        problems.append(generate_least_squares(spec, rng_problem))
+        theta0.append(rng_problem.standard_normal(d))
+    tags = [(61, i_seed) for i_seed in range(seeds)]
+    traces = run_batch(problems, np.array(theta0),
+                       _roster_rows(master_seed, problems, tags, DEPENDENCE_ROSTER, steps),
+                       steps, snapshot_stride=1).traces
+    return [{"optimizer": entry.label, "seed": i_seed,
+             "ratio": dependence_ratio(traces[i_seed * len(DEPENDENCE_ROSTER) + i_opt],
+                                       problems[i_seed].q, problems[i_seed].lam, k)}
+            for i_seed in range(seeds) for i_opt, entry in enumerate(DEPENDENCE_ROSTER)]

@@ -412,6 +412,12 @@ class TestMain:
         ("ridge-path", "recursion_steps=0", "recursion_steps must be >= 1"),
         ("ridge-path", "lambda_min=1e-12", "the recursion check's training subsample is "
                                            "singular; lower lambda_max / lambda_min"),
+        ("trajectory", "d=1", "d = 1 admits a single eigenvalue; set cond=1"),
+        ("trajectory", "n=5", "n < d forces a singular X.T X; set n >= d"),
+        ("trajectory", "steps=0", "steps must be >= 1"),
+        ("minnorm", "d=1",
+         "d must be >= 2: the problem needs a positive and a zero eigenvalue"),
+        ("minnorm", "steps=0", "steps must be >= 1"),
     ])
     def test_bad_value_is_usage_error_before_any_run(
             self, tmp_path, capsys, monkeypatch, sub, override, message):
@@ -419,6 +425,7 @@ class TestMain:
             raise AssertionError("a run started before the inputs were checked")
 
         monkeypatch.setattr(experiments, "run_trajectory", no_run)
+        monkeypatch.setattr(experiments, "run_batch", no_run)
         code = main([sub, "--seed", "1", "--out", str(tmp_path), "--set", override])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -433,6 +440,9 @@ class TestMain:
         ("angle", "lambda_min=1e-320",
          "lambda_min must be a normal float and n * cond * lambda_min finite"),
         ("angle", "steps=-1", "seeds and steps must be >= 1"),
+        ("heatmap", "d=1", "d = 1 admits a single eigenvalue; set cond_values=1"),
+        ("heatmap", "n=5", "n < d forces a singular X.T X; set n >= d"),
+        ("heatmap", "seeds=0", "seeds and steps must be >= 1"),
     ])
     def test_bad_sweep_value_is_usage_error_before_any_batch(
             self, tmp_path, capsys, monkeypatch, sub, override, message):

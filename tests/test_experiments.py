@@ -10,6 +10,7 @@ import optbench.experiments as experiments
 import optbench.problems as problems
 from optbench.experiments import (
     ANGLE_ROSTER,
+    BETA2,
     HEATMAP_ROSTER,
     LOSS_CAP,
     PERTURBATION,
@@ -24,6 +25,7 @@ from optbench.experiments import (
     check_regret_bound,
     check_sgd_dichotomy,
     check_theorem_convergence_range,
+    dependence_experiment,
     dependence_ratio,
     derive_rng,
     exact_alignment_fraction,
@@ -38,6 +40,7 @@ from optbench.experiments import (
     swap_change,
     sweep_angle,
     sweep_heatmap,
+    trajectory_experiment,
 )
 from optbench.linalg import project_box, sym_eigh
 from optbench.optim import Optimizer, OptimizerConfig
@@ -52,9 +55,60 @@ from optbench.problems import (
 EPS = np.finfo(float).eps
 
 
-def small_problem(seed=0, d=2, cond=10.0, n=None):
-    spec = GenSpec(n=n or d, d=d, lambda_max=1.0, lambda_min=1.0 / cond)
+def small_problem(seed=0, d=2, cond=10.0, n=None, lambda_max=1.0):
+    spec = GenSpec(n=n or d, d=d, lambda_max=lambda_max, lambda_min=lambda_max / cond)
     return generate_least_squares(spec, derive_rng(seed, 0))
+
+
+def reference_trajectory(problem, algo, config, steps, theta0, rng=None, *, snapshot_stride=0):
+    """The single-run step loop run_trajectory had before it became a one-row
+    run_batch, kept as the batch engine's oracle: one Optimizer.step per
+    step, a single-sample gradient drawn from rng or the full gradient, the
+    exact loss every step."""
+    if steps < 1:
+        raise ValueError("need at least one step")
+    d = problem.d
+    theta = np.array(theta0, dtype=float)
+    base = problems.full_loss(problem, problem.theta_star) if problem.theta_star is not None else 0.0
+    opt = Optimizer(algo, d, config)
+    snaps = [theta.copy()] if snapshot_stride >= 1 else None
+    ts, losses, etas, gnorms = [], [], [], []
+    diverged = False
+    inv_n = 1.0 / problem.n
+    for step_i in range(1, steps + 1):
+        if rng is not None:
+            g = problems.stochastic_gradient(problem, theta, rng) * inv_n
+        else:
+            g = problems.full_gradient(problem, theta)
+        theta = opt.step(theta, g)
+        if snaps is not None and step_i % snapshot_stride == 0:
+            snaps.append(theta.copy())
+        val = problems.full_loss(problem, theta) - base
+        val = 0.0 if val < 0.0 else val
+        gn = float(np.linalg.norm(g))
+        ts.append(step_i)
+        etas.append(float(opt.last_eta_t))
+        gnorms.append(gn if np.isfinite(gn) else np.inf)
+        if (opt.diverged or not np.isfinite(val) or val >= LOSS_CAP
+                or not np.all(np.isfinite(theta))):
+            losses.append(LOSS_CAP)
+            diverged = True
+            break
+        losses.append(val)
+    return Trace(t=np.array(ts), loss=np.array(losses), eta_t=np.array(etas),
+                 grad_norm=np.array(gnorms),
+                 snapshots=np.array(snaps) if snaps is not None else None,
+                 diverged=diverged, final_theta=theta)
+
+
+def assert_same_trace(trace, ref):
+    """== on every field of two traces (NaN eta_t entries match NaN)."""
+    assert trace.diverged == ref.diverged
+    for name in ("t", "loss", "eta_t", "grad_norm", "final_theta"):
+        np.testing.assert_array_equal(getattr(trace, name), getattr(ref, name), err_msg=name)
+    assert (trace.snapshots is None) == (ref.snapshots is None)
+    if ref.snapshots is not None:
+        np.testing.assert_array_equal(trace.snapshots, ref.snapshots, err_msg="snapshots")
 
 
 class TestRunTrajectory:
@@ -176,6 +230,7 @@ class TestTheoremChecks:
             raise AssertionError("a run started before the spectra were checked")
 
         monkeypatch.setattr(experiments, "run_trajectory", no_run)
+        monkeypatch.setattr(experiments, "run_batch", no_run)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_sgd_dichotomy(0, cond_values=cond_values)
 
@@ -388,7 +443,7 @@ def reference_heatmap_run(master_seed, lambda_max_values, cond_values, steps, d,
     problem = generate_least_squares(spec, rng_problem)
     theta0 = rng_problem.standard_normal(d)
     rng_run = derive_rng(master_seed, 21, i_l, i_c, i_seed, i_opt)
-    return run_trajectory(problem, entry.algo, entry.config(lam_max), steps, theta0, rng_run)
+    return reference_trajectory(problem, entry.algo, entry.config(lam_max), steps, theta0, rng_run)
 
 
 def reference_angle_run(master_seed, cond, lambda_min, n, steps, roster, angle, i_seed, i_opt):
@@ -399,7 +454,7 @@ def reference_angle_run(master_seed, cond, lambda_min, n, steps, roster, angle, 
     problem = make_rotated_2d(cond, lambda_min, angle, rng_problem, n=n)
     theta0 = rng_problem.standard_normal(2)
     rng_run = derive_rng(master_seed, 11, i_seed, i_opt)
-    return run_trajectory(problem, entry.algo, entry.config(lam_max), steps, theta0, rng_run)
+    return reference_trajectory(problem, entry.algo, entry.config(lam_max), steps, theta0, rng_run)
 
 
 # Every algorithm a roster can name, two sgd entries that differ in beta1
@@ -412,8 +467,8 @@ MIXED_ROSTER = HEATMAP_ROSTER + (
 
 
 class TestBatchEngine:
-    """The batched engine against run_trajectory, run by run: == on the final
-    losses and identical divergence flags."""
+    """The batched engine against the reference loop, run by run: == on the
+    final losses and identical divergence flags."""
 
     @pytest.mark.parametrize("seed,roster,grid", [
         (0, HEATMAP_ROSTER, dict(lambda_max_values=(1.0, 1e4, 1e6), cond_values=(1.0, 1e4),
@@ -423,7 +478,7 @@ class TestBatchEngine:
         (201, HEATMAP_ROSTER, dict(lambda_max_values=(1e2, 1e6), cond_values=(1e2, 1e6),
                                    seeds=1, steps=1500, d=30, n=300)),
     ])
-    def test_heatmap_runs_match_run_trajectory(self, seed, roster, grid):
+    def test_heatmap_runs_match_the_reference_loop(self, seed, roster, grid):
         cells = [(i_l, i_c, i_seed) for i_l in range(len(grid["lambda_max_values"]))
                  for i_c in range(len(grid["cond_values"])) for i_seed in range(grid["seeds"])]
         params = {k: grid[k] for k in ("lambda_max_values", "cond_values", "d", "n")}
@@ -440,7 +495,7 @@ class TestBatchEngine:
                 early += trace.diverged and len(trace.t) < grid["steps"]
         assert early >= 2  # the grid exercises the early exit
 
-    def test_angle_runs_match_run_trajectory(self):
+    def test_angle_runs_match_the_reference_loop(self):
         angles, seeds, steps = (0.0, 20.0, 45.0), 3, 400
         cells = [(angle, i_seed) for angle in angles for i_seed in range(seeds)]
         params = {"cond": 1e4, "lambda_min": 1.0, "n": 300}
@@ -500,8 +555,168 @@ class TestBatchEngine:
         p = small_problem(d=2)
         rows = [BatchRow(0, "sgd", OptimizerConfig(eta=1e3, beta1=0.0),
                          np.zeros(10_000, dtype=int))]
-        final, stopped = run_batch([p], p.theta_star[None] + 1.0, rows, 10_000)
-        assert stopped.tolist() == [True] and final.tolist() == [LOSS_CAP]
+        result = run_batch([p], p.theta_star[None] + 1.0, rows, 10_000)
+        assert result.stopped.tolist() == [True] and result.final_loss.tolist() == [LOSS_CAP]
+        assert result.traces is None
+
+    def test_rows_with_and_without_indices_are_rejected(self):
+        p = small_problem(d=2)
+        rows = [BatchRow(0, "sgd", OptimizerConfig(eta=0.1), np.zeros(5, dtype=int)),
+                BatchRow(0, "sgd", OptimizerConfig(eta=0.2))]
+        with pytest.raises(ValueError, match="one sample index per step, or none does"):
+            run_batch([p], np.zeros((1, 2)), rows, 5)
+
+
+# Every algorithm, a second eta in the sgd block that diverges early
+# (2.1 / lambda_max without momentum) and adabound's bounds.
+TRACE_ROSTER = (
+    ("sgd", OptimizerConfig(eta=1.9, beta1=0.0)),
+    ("sgd", OptimizerConfig(eta=2.1, beta1=0.0)),
+    ("sgd", OptimizerConfig(eta=0.3, beta1=0.5)),
+    ("adam", OptimizerConfig(eta=0.05)),
+    ("amsgrad", OptimizerConfig(eta=0.05)),
+    ("adasgd", OptimizerConfig(eta=0.01, beta1=0.0, beta2=BETA2)),
+    ("adasgdmax", OptimizerConfig(eta=10.0, beta1=0.0, beta2=BETA2)),
+    ("adabound", OptimizerConfig(eta=0.05, eta_sgd=0.2, gamma=1e-2)),
+)
+
+
+class TestBatchTraces:
+    """Recorded and full-gradient rows against the reference loop: == on
+    the per-step loss, eta_t and gradient norm, the snapshots, the final
+    parameters, the stopped flag and the number of steps, for every
+    algorithm.  The batch holds two problems and, on a third with a start
+    near the float range, a row whose first gradient overflows, so it
+    freezes at step 1."""
+
+    STEPS = 300
+
+    def batch(self, d, stochastic):
+        n = 3 * d if stochastic else d
+        probs = [small_problem(1, d=d, cond=10.0, n=n), small_problem(2, d=d, cond=100.0, n=n)]
+        probs.append(small_problem(2, d=d, cond=100.0, n=n, lambda_max=1e6))
+        # The second start is far enough out for sgd at 2.1 / lambda_max to
+        # reach the loss cap within the steps.
+        theta0 = np.array([p.theta_star + scale * derive_rng(d, k).standard_normal(d)
+                           for k, (p, scale) in enumerate(zip(probs, (0.1, 1e15)))]
+                          + [np.full(d, 1e306)])
+        runs = [(k, algo, config) for k in range(2) for algo, config in TRACE_ROSTER]
+        runs.append((2, "sgd", OptimizerConfig(eta=0.1)))
+        rngs = [derive_rng(d, 9, i) if stochastic else None for i in range(len(runs))]
+        rows = [BatchRow(k, algo, config, None if rng is None else rng.integers(n, size=self.STEPS))
+                for (k, algo, config), rng in zip(runs, rngs)]
+        with np.errstate(over="ignore", invalid="ignore"):   # the frozen row overflows
+            refs = [reference_trajectory(
+                probs[k], algo, config, self.STEPS, theta0[k],
+                derive_rng(d, 9, i) if stochastic else None, snapshot_stride=7)
+                for i, (k, algo, config) in enumerate(runs)]
+        return probs, theta0, rows, refs
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    @pytest.mark.parametrize("d", [2, 20, 50])
+    def test_recorded_rows_match_the_reference_loop(self, d, stochastic):
+        probs, theta0, rows, refs = self.batch(d, stochastic)
+        result = run_batch(probs, theta0, rows, self.STEPS, record=True, snapshot_stride=7)
+        assert refs[-1].diverged and len(refs[-1].t) == 1 and refs[-1].grad_norm[0] == np.inf
+        if not stochastic:   # full-gradient sgd at 2.1 / lambda_max stops early
+            early = refs[len(TRACE_ROSTER) + 1]
+            assert early.diverged and 1 < len(early.t) < self.STEPS
+        for i, ref in enumerate(refs):
+            assert_same_trace(result.traces[i], ref)
+            assert result.final_loss[i] == ref.final_loss
+            assert result.stopped[i] == ref.diverged
+            np.testing.assert_array_equal(result.theta[i], ref.final_theta)
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_unrecorded_rows_match_the_reference_loop(self, stochastic):
+        probs, theta0, rows, refs = self.batch(10, stochastic)
+        result = run_batch(probs, theta0, rows, self.STEPS)
+        assert result.traces is None
+        assert result.final_loss.tolist() == [ref.final_loss for ref in refs]
+        assert result.stopped.tolist() == [ref.diverged for ref in refs]
+        np.testing.assert_array_equal(result.theta, [ref.final_theta for ref in refs])
+
+    def test_snapshots_alone_leave_the_histories_unrecorded(self):
+        probs, theta0, rows, refs = self.batch(4, False)
+        result = run_batch(probs, theta0, rows, self.STEPS, snapshot_stride=7)
+        for trace, ref in zip(result.traces, refs):
+            assert trace.loss is None and trace.eta_t is None and trace.grad_norm is None
+            np.testing.assert_array_equal(trace.t, ref.t)
+            np.testing.assert_array_equal(trace.snapshots, ref.snapshots)
+
+    @pytest.mark.parametrize("algo,config", TRACE_ROSTER)
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_run_trajectory_is_the_reference_loop(self, algo, config, stochastic):
+        p = small_problem(4, d=6, cond=50.0, n=18)
+        theta0 = derive_rng(4, 1).standard_normal(6)
+        traces = [fn(p, algo, config, 400, theta0, derive_rng(4, 2) if stochastic else None,
+                     snapshot_stride=3) for fn in (run_trajectory, reference_trajectory)]
+        assert_same_trace(*traces)
+
+
+def trap(*args, **kwargs):
+    raise AssertionError("a single-run step loop ran")
+
+
+class TestOneEngine:
+    """Every least-squares runner steps its runs through run_batch: with
+    run_trajectory and Optimizer.step replaced by traps, each still runs, and
+    run_batch is called."""
+
+    @pytest.mark.parametrize("runner,params", [
+        (check_sgd_dichotomy, dict(d_values=(2, 3), cond_values=(10.0,), steps=50)),
+        (check_theorem_convergence_range, dict(d=3, cond=10.0, steps=50)),
+        (check_distance_bound, dict(d_values=(2,), cond_values=(10.0,), eta_values=(1e-2,),
+                                    steps=50)),
+        (minnorm_experiment, dict(steps=20)),
+        (ridge_path_experiment, dict(seeds=2, steps=20, snapshot_stride=5, recursion_steps=10)),
+        (dependence_experiment, dict(d=6, n=18, seeds=2, steps=20, k=2)),
+        (sweep_heatmap, dict(lambda_max_values=(1.0,), cond_values=(10.0,), seeds=1, steps=20,
+                             d=3, n=9)),
+        (sweep_angle, dict(angles=(0.0,), seeds=1, steps=20)),
+    ])
+    def test_runners_call_no_single_run_loop(self, monkeypatch, runner, params):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_trajectory", trap)
+        monkeypatch.setattr(Optimizer, "step", trap)
+        monkeypatch.setattr(experiments, "run_batch", counting)
+        runner(0, **params)
+        assert calls
+
+    def test_trajectory_is_one_row_of_one_batch(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(Optimizer, "step", trap)
+        monkeypatch.setattr(experiments, "run_batch", counting)
+        assert len(trajectory_experiment(0, d=3, n=9, steps=20)) == 20
+        assert calls == [1]
+
+
+class TestDependenceInputs:
+    @pytest.mark.parametrize("params,message", [
+        (dict(seeds=0), "seeds must be >= 1"),
+        (dict(k=0), "need 1 <= k <= d"),
+        (dict(k=200), "need 1 <= k <= d"),
+        (dict(steps=0), "steps must be >= 1"),
+        (dict(cond=0.5), "cond must be finite and >= 1"),
+        (dict(lambda_max=np.inf), "lambda_max must be positive and finite"),
+        (dict(n=50), "n < d forces a singular X.T X; set n >= d"),
+        (dict(d=1, k=1), "d = 1 admits a single eigenvalue; set cond=1"),
+    ])
+    def test_inputs_are_checked_before_any_run(self, monkeypatch, params, message):
+        monkeypatch.setattr(experiments, "run_batch", trap)
+        monkeypatch.setattr(experiments, "generate_least_squares", trap)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dependence_experiment(0, **params)
 
 
 def counting_full_loss(monkeypatch) -> list:
@@ -528,8 +743,8 @@ class TestBatchStopRule:
                          derive_rng(k, 2, i_opt).integers(40, size=300))
                 for k in range(3) for i_opt, (algo, eta) in enumerate(roster)]
         calls = counting_full_loss(monkeypatch)
-        final, stopped = run_batch(probs, theta0, rows, 300)
-        assert not stopped.any() and np.isfinite(final).all()
+        result = run_batch(probs, theta0, rows, 300)
+        assert not result.stopped.any() and np.isfinite(result.final_loss).all()
         assert calls[0] == len(probs) + len(rows)   # the floors and the finals
 
     def test_a_bound_over_the_cap_falls_back_to_the_exact_loss(self, monkeypatch):
@@ -546,19 +761,19 @@ class TestBatchStopRule:
                          derive_rng(0, 2, i).integers(40, size=steps))
                 for i, (algo, eta) in enumerate(algos)]
         calls = counting_full_loss(monkeypatch)
-        final, stopped = run_batch([p], theta0[None], rows, steps)
+        result = run_batch([p], theta0[None], rows, steps)
         # every step rechecked, plus the finals; no floor, as there is no unique optimum
         assert p.theta_star is None and calls[0] == len(rows) * (steps + 1)
-        assert not stopped.any()
+        assert not result.stopped.any()
         bound = 0.5 * (np.linalg.norm(p.x) * np.linalg.norm(theta0) + np.linalg.norm(p.y)) ** 2
         assert bound >= experiments.SCREEN_CAP
         monkeypatch.undo()
         for i, (algo, eta) in enumerate(algos):
-            trace = run_trajectory(p, algo, OptimizerConfig(eta=eta), steps, theta0,
-                                   derive_rng(0, 2, i))
+            trace = reference_trajectory(p, algo, OptimizerConfig(eta=eta), steps, theta0,
+                                         derive_rng(0, 2, i))
             assert not trace.diverged and len(trace.t) == steps
             assert 1e20 < trace.final_loss < LOSS_CAP
-            assert final[i] == trace.final_loss
+            assert result.final_loss[i] == trace.final_loss
 
 
 class RecordingPool:
