@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with the package, not in the first run
 
 from .linalg import haar_orthogonal, project_box, sym_eigh
 from .optim import Optimizer, OptimizerConfig

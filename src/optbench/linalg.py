@@ -2,9 +2,9 @@
 symmetric eigensolvers, and Euclidean box projection.
 
 QR (householder_qr) and every internal eigensolve (sym_eigh) go through
-LAPACK via scipy.linalg; the pure-Python cyclic Jacobi solver jacobi_eigh
+LAPACK via numpy.linalg; the pure-Python cyclic Jacobi solver jacobi_eigh
 keeps sym_eigh's contract and is the accuracy oracle the tests compare it
-against.
+against.  All three reject NaN and infinite input with ValueError.
 
 Everything here is a pure function of its inputs (plus an explicitly passed
 seeded generator where randomness is involved).
@@ -13,7 +13,6 @@ seeded generator where randomness is involved).
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sp_linalg
 
 # Module tolerances; jacobi_eigh accepts overrides, sym_eigh uses SYMMETRY_TOL.
 JACOBI_MAX_SWEEPS = 100
@@ -29,13 +28,14 @@ class EigenConvergenceError(RuntimeError):
 def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor a (m x n, m >= n) as q @ r with orthonormal columns in q.
 
-    LAPACK's Householder QR (geqrf via scipy.linalg.qr, economic mode), with
+    LAPACK's Householder QR (geqrf via numpy.linalg.qr, reduced mode), with
     column j of q and row j of r negated wherever r[j, j] < 0.  With
     diag(r) >= 0 the factorization of a full-rank input is unique, the
     identity factors as q = I, r = I, and the Gaussian -> QR map produces
     Haar-distributed orthogonal matrices whichever algorithm computes it
     (Mezzadri, Notices of the AMS 54(5), 2007).  Rank-deficient input is
     permitted; an exactly zero column leaves a zero on the diagonal of r.
+    Non-finite input raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -43,7 +43,9 @@ def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, n = a.shape
     if m < n:
         raise ValueError(f"need rows >= cols, got {m}x{n}")
-    q, r = sp_linalg.qr(a, mode="economic")
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    q, r = np.linalg.qr(a, mode="reduced")
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return q * signs, r * signs[:, None]
 
@@ -69,13 +71,15 @@ def haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _symmetric(s: np.ndarray, symmetry_tol: float) -> np.ndarray:
-    """Validate a non-empty, numerically symmetric square matrix and return
-    its exactly symmetric part 0.5 * (s + s.T) as a new float array."""
+    """Validate a non-empty, finite, numerically symmetric square matrix and
+    return its exactly symmetric part 0.5 * (s + s.T) as a new float array."""
     a = np.array(s, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if a.shape[0] == 0:
         raise ValueError("empty matrix")
+    if not np.isfinite(a).all():  # LAPACK would return NaN factors silently
+        raise ValueError("array must not contain infs or NaNs")
     asym = float(np.max(np.abs(a - a.T)))
     if asym >= symmetry_tol:
         raise ValueError(f"matrix is not symmetric (max |s - s.T| = {asym:g})")
@@ -83,7 +87,7 @@ def _symmetric(s: np.ndarray, symmetry_tol: float) -> np.ndarray:
 
 
 def sym_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a symmetric matrix with LAPACK (scipy.linalg.eigh).
+    """Eigendecompose a symmetric matrix with LAPACK (numpy.linalg.eigh).
 
     Same contract as jacobi_eigh: returns (q, lam) with s = q.T @ diag(lam) @ q,
     eigenvalues in descending order (stable sort) and the ROWS of q holding
@@ -100,7 +104,7 @@ def sym_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam = np.zeros(n)
     q = np.zeros((n, n))
     if k:
-        w, v = sp_linalg.eigh(a[np.ix_(live, live)])
+        w, v = np.linalg.eigh(a[np.ix_(live, live)])
         lam[:k] = w[::-1]
         q[:k, live] = v[:, ::-1].T
     q[np.arange(k, n), np.flatnonzero(~live)] = 1.0

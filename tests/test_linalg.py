@@ -11,6 +11,9 @@ from optbench.linalg import (
     project_box,
     sym_eigh,
 )
+from optbench.problems import GenSpec, generate_least_squares
+
+EPS = np.finfo(float).eps
 
 
 def det_cofactor(a):
@@ -73,6 +76,21 @@ class TestHouseholderQR:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
             householder_qr(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(300, 30), (30, 30), (500, 50), (50, 50), (30, 25),
+                                       (2, 2)])
+    def test_matches_scipy_qr_with_sign_fix(self, shape):
+        # The shapes the problem generators factor.  Both are LAPACK geqrf, so
+        # they agree to rounding; QR factors move by about kappa(A) eps under a
+        # perturbation of A, and the tolerance is ten times that.
+        for seed in range(5):
+            a = np.random.default_rng(seed).standard_normal(shape)
+            q, r = householder_qr(a)
+            q_ref, r_ref = sp_linalg.qr(a, mode="economic")
+            signs = np.where(np.diag(r_ref) < 0.0, -1.0, 1.0)
+            tol = 10 * np.linalg.cond(a) * EPS
+            assert np.max(np.abs(q - q_ref * signs)) <= tol
+            assert np.max(np.abs(r - r_ref * signs[:, None])) <= tol * np.max(np.abs(r_ref))
 
 
 class TestHaar:
@@ -182,7 +200,20 @@ def _oracle_matrix(kind, d):
 
 
 class TestSymEigh:
-    """sym_eigh (LAPACK) against jacobi_eigh as the oracle."""
+    """sym_eigh (LAPACK) against jacobi_eigh and prescribed spectra as oracles."""
+
+    # generate_least_squares prescribes the spectrum of X.T X exactly.  Over
+    # these 10 seeds per case the worst error was 2.0 eps lambda_max d (at
+    # d = 2), so the bound has 2.5x headroom; 200 seeds per d <= 10 case
+    # reached 3.0.
+    @pytest.mark.parametrize("cond", [10.0, 1e4, 1e8])
+    @pytest.mark.parametrize("d,n", [(2, 40), (10, 100), (50, 200), (100, 300)])
+    def test_returns_the_prescribed_spectrum(self, d, n, cond):
+        for seed in range(10):
+            p = generate_least_squares(GenSpec(n, d, 1.0, 1.0 / cond),
+                                       np.random.default_rng(seed))
+            _, lam = sym_eigh(p.x.T @ p.x)
+            assert np.max(np.abs(lam - p.lam)) <= 5 * EPS * p.lambda_max * d
 
     @pytest.mark.parametrize("kind", ["indefinite", "gram"])
     @pytest.mark.parametrize("d", [10, 50, 100])
@@ -233,6 +264,21 @@ class TestSymEigh:
     def test_invalid_input_rejected(self, bad):
         with pytest.raises(ValueError):
             sym_eigh(bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solver", [householder_qr, sym_eigh, jacobi_eigh])
+def test_non_finite_input_rejected(solver, bad):
+    # LAPACK would return NaN factors silently; the check runs before any
+    # arithmetic, so no RuntimeWarning (an error here) comes first.
+    s = np.array([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        solver(s)
+    s = np.eye(3)
+    s[2, 2] = bad
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        solver(s)
 
 
 class TestProjectBox:
