@@ -59,6 +59,11 @@ def derive_rng(master_seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, *tags)))
 
 
+def _check_positive(key: str, value: float) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{key} must be positive and finite")
+
+
 def _check_spectrum(n: int, lambda_max: float, cond: float, *,
                     lambda_key: str = "lambda_max", cond_key: str = "cond") -> None:
     """A generated spectrum runs from lambda_max down to lambda_max / cond; its
@@ -66,8 +71,7 @@ def _check_spectrum(n: int, lambda_max: float, cond: float, *,
     (entries about n * lambda_max) must stay finite.  Runners call this on
     every spectrum they will build, before any run; the messages name the
     runner's keys for lambda_max and cond."""
-    if not 0 < lambda_max < np.inf:
-        raise ValueError(f"{lambda_key} must be positive and finite")
+    _check_positive(lambda_key, lambda_max)
     if not 1 <= cond < np.inf:
         raise ValueError(f"{cond_key} must be finite and >= 1")
     if not (lambda_max / cond >= sys.float_info.min and n * lambda_max < np.inf):
@@ -180,7 +184,7 @@ def run_batch(
     stated); without, the full sum-loss gradient X.T (X theta - y), so the
     2 / lambda_max threshold applies directly.  The rows of a batch all carry
     indices or none do.  Rows whose configs differ only in eta step as one
-    batched Optimizer; rows of a problem share its data.
+    Optimizer; rows of a problem share its data.
 
     A row stops, and leaves the work, on a frozen optimizer (a non-finite
     gradient or parameter), a non-finite parameter or a loss of at least
@@ -365,6 +369,7 @@ def check_sgd_dichotomy(
     step budget cannot also pay for burning off an O(1) initial error at
     condition number 1e4.
     """
+    _check_positive("tol", tol)
     specs = [[_checked_spec(d, d, lambda_max, cond, cond_key="cond_values")
               for cond in cond_values] for d in d_values]
     runs = [(i_c, mult, expect_converge) for i_c in range(len(cond_values))
@@ -413,6 +418,7 @@ def check_theorem_convergence_range(
     inside the convergent range, which keeps the constancy assertion free of
     seed-dependent boundary flukes.
     """
+    _check_positive("tol", tol)
     spec = _checked_spec(d, d, lambda_max, cond)
     problem = generate_least_squares(spec, derive_rng(master_seed, 0))
     theta0 = problem.theta_star + PERTURBATION * problem.q[0]
@@ -469,6 +475,7 @@ def check_distance_bound(
     bound_scale < 1 artificially shrinks the bound (self-test mode for the
     failure path).
     """
+    _check_positive("bound_scale", bound_scale)
     specs = [[_checked_spec(d, d, lambda_max, cond, cond_key="cond_values")
               for cond in cond_values] for d in d_values]
     runs = list(itertools.product(range(len(cond_values)), eta_values))
@@ -861,10 +868,12 @@ def alignment_monte_carlo(
     sample count once d reaches a few dozen)."""
     if samples_per_dim < 1:
         raise ValueError("samples_per_dim must be >= 1")
+    if any(d < 2 for d in dims):
+        raise ValueError("dims must be >= 2")
+    # Computed first, so a bad threshold fails before any sampling.
+    exact = [exact_alignment_fraction(d, threshold_deg) for d in dims]
     rows: list[dict] = []
-    for d in dims:
-        if d < 2:
-            raise ValueError("dims must be >= 2")
+    for d, exact_frac in zip(dims, exact):
         n_matrices = math.ceil(samples_per_dim / d)
         angles = np.empty(n_matrices * d)
         for i in range(n_matrices):
@@ -876,7 +885,7 @@ def alignment_monte_carlo(
             "rows_sampled": angles.size,
             "median_angle_deg": float(np.median(angles)),
             "frac_below_threshold": float(np.mean(angles < threshold_deg)),
-            "exact_frac_below_threshold": exact_alignment_fraction(d, threshold_deg),
+            "exact_frac_below_threshold": exact_frac,
         })
     return rows
 

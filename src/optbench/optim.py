@@ -1,13 +1,12 @@
-"""One stochastic-optimizer state machine, six update rules, one run or a batch.
+"""One stochastic-optimizer state machine, six update rules, over a batch of runs.
 
-``Optimizer(algo, dim, config).step(theta, g)`` consumes a raw gradient
-vector and returns the updated parameters.  ``Optimizer(algo, dim, configs)``
-with a sequence of B configs runs B independent runs at once: ``theta`` and
-``g`` are (B, dim) arrays, one row per run, and every row is updated exactly
-as a single run with its own config would be, bit for bit.  The rows of a
-batch may differ only in ``eta``.  The rules are written once, over an
-optional leading batch axis, so a single run and a batch row share every
-floating-point expression.
+``Optimizer(algo, dim, configs)`` with a sequence of B configs holds B
+independent runs; ``step(theta, g)`` takes (B, dim) parameters and raw
+gradients, one row per run, and returns the updated parameters.  The rows may
+differ only in ``eta``, and every row is updated exactly as a batch of that
+row alone would be, bit for bit.  A single ``OptimizerConfig`` makes a
+one-row batch, whose ``step`` also takes and returns (dim,) vectors.  The
+rules are written once, over the row axis.
 
 The rules differ in three choices: a decaying-sum (sgd, adasgd, adasgdmax) or
 (1 - beta1)-weighted exponential first moment m; no, a per-coordinate or a
@@ -25,13 +24,12 @@ global second moment v; and whether a running maximum v_hat is held.
     adabound    per-coordinate adam rate clipped into [eta_l(t), eta_u(t)]
                 around a terminal sgd rate
 
-Divergence policy: a non-finite gradient or parameter freezes the run (each
-row of a batch on its own); the step counter still advances.  Zero-gradient
-guard: when the global second moment is exactly zero the adasgd/adasgdmax
-step is skipped (the update is 0/0 but the true gradient step is zero
-anyway).  Box-constrained runs project each iterate with
-``linalg.project_box``.  Bias corrections use Python's float power: numpy's
-vectorized power may round differently.
+Divergence policy: a non-finite gradient or parameter freezes that row alone;
+the step counter still advances.  Zero-gradient guard: when the global second
+moment is exactly zero the adasgd/adasgdmax step is skipped (the update is
+0/0 but the true gradient step is zero anyway).  Box-constrained runs project
+each iterate with ``linalg.project_box``.  Bias corrections use Python's float
+power: numpy's vectorized power may round differently.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import numpy as np
 ALGORITHMS = ("sgd", "adam", "amsgrad", "adasgd", "adasgdmax", "adabound")
 _DECAYING_SUM = ("sgd", "adasgd", "adasgdmax")
 _PER_COORDINATE = ("adam", "amsgrad", "adabound")
-# Per-run state; a frozen row of a batch keeps its values.
+# Per-row state; a frozen row keeps its values.
 _ROW_STATE = ("m", "v", "v_hat", "last_eta_t")
 
 
@@ -68,85 +66,59 @@ class OptimizerConfig:
             raise ValueError("epsilon must be finite and >= 0")
 
 
-def _squared_norm(g: np.ndarray):
-    """g . g of one gradient, or of each row as a (B, 1) column; vecdot's rows
-    equal the scalar dot bit for bit."""
-    return float(g @ g) if g.ndim == 1 else np.vecdot(g, g)[:, None]
-
-
-def _running_max(held, value):
-    """Elementwise max(held, value), kept a plain float for a single run's
-    global moment (float arithmetic keeps a single step cheap)."""
-    return max(held, value) if isinstance(held, float) else np.maximum(held, value)
-
-
 class Optimizer:
-    """State of one run of ``algo`` in ``dim`` coordinates, or of a batch of
-    runs: the step count t, the moments m, v and v_hat (arrays for
-    per-coordinate rules, floats for the global ones; a leading row axis in a
-    batch, where the global ones are (B, 1) columns), the frozen flag (one per
-    row in a batch) and the last global rate eta_t (NaN for the per-coordinate
-    rules).  ``eta`` holds the learning rate, a (B, 1) column in a batch."""
+    """State of a batch of B runs of ``algo`` in ``dim`` coordinates: the
+    step count t, and per row the moments m, v and v_hat ((B, dim) arrays for
+    per-coordinate rules, (B, 1) columns for the global ones), the frozen
+    flag ((B,)), the learning rate ``eta`` and the last global rate eta_t
+    ((B, 1) columns; eta_t is NaN for the per-coordinate rules)."""
 
     def __init__(self, algo: str, dim: int, config: OptimizerConfig | Sequence[OptimizerConfig]):
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-        batched = not isinstance(config, OptimizerConfig)
-        configs = list(config) if batched else [config]
+        configs = [config] if isinstance(config, OptimizerConfig) else list(config)
         if not configs:
             raise ValueError("a batch needs at least one config")
         for c in configs:
             c.validate()
-            if algo == "adabound":
-                if c.eta_sgd is None or c.gamma is None:
-                    raise ValueError("adabound needs eta_sgd and gamma")
-                if c.gamma <= 0:
-                    raise ValueError("gamma must be positive")
-                if c.eta_sgd <= 0:
-                    raise ValueError("eta_sgd must be positive")
+            if algo == "adabound" and not all(b is not None and 0.0 < b < math.inf
+                                              for b in (c.eta_sgd, c.gamma)):
+                raise ValueError("adabound needs eta_sgd and gamma, positive and finite")
         if any(replace(c, eta=configs[0].eta) != configs[0] for c in configs):
             raise ValueError("the runs of a batch may differ only in eta")
         self.algo = algo
         self.dim = dim
         self.config = configs[0]
-        self.batched = batched
         self.t = 0
-        rows = (len(configs),) if batched else ()
-        vector = rows + (dim,)
-        self.m = np.zeros(vector)
-        if batched:
-            self.eta = np.array([c.eta for c in configs])[:, None]
-            self.diverged = np.zeros(rows, dtype=bool)
-            self.last_eta_t = np.full(rows + (1,), np.nan)
-            scalar = np.zeros(rows + (1,))
-        else:
-            self.eta = config.eta
-            self.diverged = False
-            self.last_eta_t = np.nan
-            scalar = 0.0
-        self.v = np.zeros(vector) if algo in _PER_COORDINATE else scalar
-        self.v_hat = np.zeros(vector) if algo == "amsgrad" else scalar
+        rows = len(configs)
+        self.eta = np.array([c.eta for c in configs])[:, None]
+        self.diverged = np.zeros(rows, dtype=bool)
+        self.last_eta_t = np.full((rows, 1), np.nan)
+        self.m = np.zeros((rows, dim))
+        self.v = np.zeros((rows, dim if algo in _PER_COORDINATE else 1))
+        self.v_hat = np.zeros((rows, dim if algo == "amsgrad" else 1))
 
     def select(self, rows) -> None:
-        """Keep only the given rows of a batch (a boolean mask or indices)."""
+        """Keep only the given rows (a boolean mask or indices)."""
         self.eta = self.eta[rows]
         for name in _ROW_STATE + ("diverged",):
             setattr(self, name, getattr(self, name)[rows])
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The parameters after one step from theta with gradient g."""
-        return self.update(np.asarray(theta, dtype=float), np.asarray(g, dtype=float))
+        """The parameters after one step from theta with gradient g: (B, dim)
+        arrays, or (dim,) vectors for a one-row optimizer."""
+        theta, g = np.asarray(theta, dtype=float), np.asarray(g, dtype=float)
+        rows = (-1, self.dim)
+        return self.update(theta.reshape(rows), g.reshape(rows)).reshape(theta.shape)
 
     def update(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """step() for float arrays, as the batch engine calls it."""
+        """step() for (B, dim) float arrays, as the batch engine calls it."""
         self.t += 1
         frozen = self.diverged | ~(np.isfinite(g).all(axis=-1) & np.isfinite(theta).all(axis=-1))
-        if not (frozen.any() if self.batched else frozen):
+        if not frozen.any():
             return self._advance(theta, g)
         self.diverged = frozen
-        if frozen.all():
-            return theta.copy()
-        # Some rows of a batch freeze: advance the others, restore the frozen.
+        # Some rows freeze: advance them all, then restore the frozen ones.
         saved = {name: getattr(self, name) for name in _ROW_STATE}
         with np.errstate(all="ignore"):
             advanced = self._advance(theta, g)
@@ -166,10 +138,10 @@ class Optimizer:
             return theta - eta * self.m
         bc2 = 1.0 - c.beta2 ** self.t
         if algo in ("adasgd", "adasgdmax"):
-            self.v = c.beta2 * self.v + (1.0 - c.beta2) * _squared_norm(g)
+            self.v = c.beta2 * self.v + (1.0 - c.beta2) * np.vecdot(g, g)[:, None]
             scale = self.v / bc2
             if algo == "adasgdmax":
-                self.v_hat = _running_max(self.v_hat, scale)
+                self.v_hat = np.maximum(self.v_hat, scale)
                 scale = self.v_hat
             # moving is False while the second moment is exactly zero: the
             # update is 0/0, so the rate is 0 (the true step is zero anyway),
@@ -188,7 +160,7 @@ class Optimizer:
             rate = np.clip(rate, lower, upper)
             return theta - rate * (self.m / bc1)
         if algo == "amsgrad":
-            self.v_hat = _running_max(self.v_hat, self.v / bc2)
+            self.v_hat = np.maximum(self.v_hat, self.v / bc2)
             # adam with v replaced by the held maximum (expressed in the same
             # uncorrected units, so the two coincide while v/bc2 rises)
             denom = np.sqrt(self.v_hat * bc2) + c.epsilon

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from optbench.cli import (
     resolve_params,
 )
 from optbench.experiments import sweep_angle
+from optbench.optim import Optimizer
 
 
 def read(path):
@@ -419,6 +421,12 @@ class TestMain:
         ("minnorm", "d=1",
          "d must be >= 2: the problem needs a positive and a zero eigenvalue"),
         ("minnorm", "steps=0", "steps must be >= 1"),
+        ("distance-bound", "bound_scale=nan", "bound_scale must be positive and finite"),
+        ("distance-bound", "bound_scale=-1", "bound_scale must be positive and finite"),
+        ("distance-bound", "bound_scale=inf", "bound_scale must be positive and finite"),
+        ("theorem-range", "tol=nan", "tol must be positive and finite"),
+        ("theorem-range", "tol=0", "tol must be positive and finite"),
+        ("theorem-range", "tol=inf", "tol must be positive and finite"),
     ])
     def test_bad_value_is_usage_error_before_any_run(
             self, tmp_path, capsys, monkeypatch, sub, override, message):
@@ -472,3 +480,16 @@ class TestMain:
         code = main(["align-mc", "--seed", "1", "--out", str(target),
                      "--set", "dims=2", "--set", "samples_per_dim=100"])
         assert code == 3
+
+
+
+def test_every_traced_layer_resolves_on_the_package():
+    # The benchmark worker wraps these names; importing it only loads modules.
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "worker.py")
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    assert worker.LAYERS["optim.step"] == (Optimizer, "step")
+    for name, (owner, attr) in worker.LAYERS.items():
+        assert callable(getattr(owner, attr, None)), f"{name}: {attr} is gone"

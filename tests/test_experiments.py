@@ -87,7 +87,7 @@ def reference_trajectory(problem, algo, config, steps, theta0, rng=None, *, snap
         val = 0.0 if val < 0.0 else val
         gn = float(np.linalg.norm(g))
         ts.append(step_i)
-        etas.append(float(opt.last_eta_t))
+        etas.append(float(opt.last_eta_t[0, 0]))
         gnorms.append(gn if np.isfinite(gn) else np.inf)
         if (opt.diverged or not np.isfinite(val) or val >= LOSS_CAP
                 or not np.all(np.isfinite(theta))):
@@ -234,6 +234,12 @@ class TestTheoremChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_sgd_dichotomy(0, cond_values=cond_values)
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+    def test_dichotomy_checks_tol_before_any_run(self, monkeypatch, tol):
+        monkeypatch.setattr(experiments, "run_batch", trap)
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            check_sgd_dichotomy(0, tol=tol)
+
     def test_convergence_range_small(self):
         rows, failures = check_theorem_convergence_range(
             0, d=4, cond=100.0, eta_multipliers=(1e-2, 1.0, 1e2), steps=20_000)
@@ -312,7 +318,7 @@ def reference_regret_rows(master_seed, t_values, d, seeds, kinds=problems.ONLINE
                     played[t] = theta
                     theta = project_box(opt.step(theta, problem.grad(t, theta)),
                                         problem.box_lo, problem.box_hi)
-                    v_hat[t] = opt.v_hat
+                    v_hat[t] = opt.v_hat[0, 0]
                 for t in checkpoints:
                     r_t = problems.regret(problem, played, horizon=t)
                     bound = experiments._regret_bound(
@@ -395,6 +401,17 @@ class TestAlignment:
     def test_monte_carlo_matches_exact_at_2d(self):
         rows = alignment_monte_carlo((2,), 8000, derive_rng(4, 0), threshold_deg=15.0)
         assert abs(rows[0]["frac_below_threshold"] - 1.0 / 3.0) < 0.03
+
+    @pytest.mark.parametrize("dims,threshold_deg,message", [
+        ((200, 1), 15.0, "dims must be >= 2"),
+        ((2,), 50.0, "threshold must lie in (0, 45) degrees"),
+        ((2, 10), np.nan, "threshold must lie in (0, 45) degrees"),
+    ])
+    def test_monte_carlo_checks_inputs_before_sampling(self, monkeypatch, dims, threshold_deg,
+                                                       message):
+        monkeypatch.setattr(experiments, "haar_orthogonal", trap)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            alignment_monte_carlo(dims, 100, derive_rng(0, 0), threshold_deg=threshold_deg)
 
 
 class TestDependenceRatio:

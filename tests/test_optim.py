@@ -25,7 +25,7 @@ class TestSGD:
         theta = opt.step(np.array([1.0, 1.0]), np.array([2.0, -2.0]))
         theta = opt.step(theta, np.array([1.0, 0.0]))
         np.testing.assert_allclose(theta, [0.52, 1.38], atol=1e-12)
-        np.testing.assert_allclose(opt.m, [2.8, -1.8], atol=1e-12)
+        np.testing.assert_allclose(opt.m[0], [2.8, -1.8], atol=1e-12)
 
     def test_beta1_zero_is_plain_sgd(self):
         opt = Optimizer("sgd", 3, cfg(beta1=0.0, eta=0.05))
@@ -98,7 +98,7 @@ class TestAMSGrad:
         bc2 = 1 - b2 ** 2
         th2 = th1 - c.eta * m2 / (math.sqrt(vh2 * bc2) + eps) * math.sqrt(bc2) / (1 - b1 ** 2)
         assert abs(theta[0] - th2) < 1e-12
-        assert opt.v_hat[0] == pytest.approx(100.0)
+        assert opt.v_hat[0, 0] == pytest.approx(100.0)
 
     def test_vhat_monotone(self):
         rng = np.random.default_rng(0)
@@ -233,6 +233,11 @@ class TestAdaBound:
             Optimizer("adabound", 2, cfg(eta_sgd=0.1, gamma=-1.0))
         with pytest.raises(ValueError):
             Optimizer("adabound", 2, cfg(gamma=1e-3))
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Optimizer("adabound", 2, cfg(eta_sgd=bad, gamma=1e-3))
+            with pytest.raises(ValueError, match="positive and finite"):
+                Optimizer("adabound", 2, cfg(eta_sgd=0.1, gamma=bad))
 
 
 class TestSharedBehavior:
@@ -257,7 +262,7 @@ class TestSharedBehavior:
             g = rng.standard_normal(3)
             new = opt.step(theta, g)
             step = new - theta
-            m = opt.m
+            m = opt.m[0]
             nz = np.abs(m) > 1e-12
             rates = -step[nz] / m[nz]
             assert np.all(rates > 0)
@@ -468,7 +473,8 @@ def test_matches_reference_bitwise_on_step_stream_grid(algo):
                 for g in stream:
                     theta_new, theta_ref = new.step(theta_new, g), ref.step(theta_ref, g)
                     assert same_bits(theta_new, theta_ref)
-                    assert all(same_bits(getattr(new, k), getattr(ref, k)) for k in STATE)
+                    assert all(same_bits(np.reshape(getattr(new, k)[0], np.shape(getattr(ref, k))),
+                                        getattr(ref, k)) for k in STATE)
                     assert (new.t, bool(new.diverged)) == (ref.t, ref.diverged)
                     steps += 1
     assert steps == 2 * len(grid_configs(algo)) * 7 * 30
@@ -488,7 +494,9 @@ def test_non_finite_parameters_freeze_like_reference(algo):
 def test_batch_rows_match_single_runs_bitwise(algo):
     # Rows differ in eta; one row sees a non-finite gradient at step 7 and
     # another only zero gradients for its first 4 steps, so the batch runs
-    # through the partial-freeze and the zero-gradient paths.
+    # through the partial-freeze and the zero-gradient paths.  Each single
+    # run is a one-row batch, stepped with (dim,) vectors on even rows and
+    # (1, dim) rows on odd ones; its state is row i of the batch's.
     base = grid_configs(algo)[-1]
     configs = [OptimizerConfig(**{**vars(base), "eta": eta}) for eta in (0.05, 0.3, 2.0, 0.3)]
     dim, rows = 3, len(configs)
@@ -498,17 +506,20 @@ def test_batch_rows_match_single_runs_bitwise(algo):
     grads[:4, 2] = 0.0
     batch = Optimizer(algo, dim, configs)
     singles = [Optimizer(algo, dim, c) for c in configs]
+    assert all(getattr(opt, k).shape in ((1, dim), (1, 1)) for opt in singles for k in STATE)
+    shapes = [(dim,) if i % 2 == 0 else (1, dim) for i in range(rows)]
     theta = np.tile(np.linspace(-1.0, 1.0, dim), (rows, 1))
-    thetas = list(theta)
+    thetas = [th.reshape(shape) for th, shape in zip(theta, shapes)]
     for g in grads:
         theta = batch.step(theta, g)
-        thetas = [opt.step(th, g[i]) for i, (opt, th) in enumerate(zip(singles, thetas))]
+        thetas = [opt.step(th, g[i].reshape(shapes[i]))
+                  for i, (opt, th) in enumerate(zip(singles, thetas))]
         for i, opt in enumerate(singles):
-            assert same_bits(theta[i], thetas[i])
+            assert thetas[i].shape == shapes[i]
+            assert same_bits(theta[i], thetas[i].reshape(dim))
             for k in STATE:
-                assert same_bits(np.reshape(getattr(batch, k)[i], np.shape(getattr(opt, k))),
-                                 getattr(opt, k))
-            assert bool(batch.diverged[i]) == bool(opt.diverged)
+                assert same_bits(getattr(batch, k)[i:i + 1], getattr(opt, k))
+            assert batch.diverged[i:i + 1].tolist() == opt.diverged.tolist()
     assert batch.diverged.tolist() == [False, True, False, False]
 
 
@@ -519,6 +530,11 @@ def test_batch_select_keeps_rows():
     batch.select(np.array([True, False, True]))
     assert batch.eta[:, 0].tolist() == [0.1, 0.3]
     assert batch.m.shape == batch.v.shape == (2, 2) and batch.diverged.shape == (2,)
+    batch.select(np.array([1]))   # down to a one-row batch
+    assert batch.eta.tolist() == [[0.3]]
+    assert batch.v_hat.shape == batch.last_eta_t.shape == (1, 1) and batch.m.shape == (1, 2)
+    assert batch.step(np.zeros(2), np.ones(2)).shape == (2,)
+    assert batch.step(np.zeros((1, 2)), np.ones((1, 2))).shape == (1, 2)
 
 
 def test_batch_rows_may_differ_only_in_eta():
