@@ -26,7 +26,6 @@ from .problems import (
     RANK_CUTOFF,
     GenSpec,
     QuadraticProblem,
-    full_gradient,
     full_loss,
     generate_least_squares,
     lstsq_min_norm,
@@ -137,11 +136,6 @@ def _loss_gap(problem: QuadraticProblem, theta: np.ndarray, floor: float) -> flo
     return 0.0 if val < 0.0 else val
 
 
-def _over_cap(val: float) -> bool:
-    """A loss that stops a run: non-finite or at least LOSS_CAP."""
-    return not np.isfinite(val) or val >= LOSS_CAP
-
-
 @dataclass(frozen=True)
 class BatchRow:
     """One run of a batch: the index of its problem, its optimizer, and its
@@ -182,13 +176,15 @@ def run_batch(
     x_i (x_i . theta - y_i), i = indices[t] (the mean-loss gradient, the
     convention under which the figure experiments' learning rates are
     stated); without, the full sum-loss gradient X.T (X theta - y), so the
-    2 / lambda_max threshold applies directly.  The rows of a batch all carry
-    indices or none do.  Rows whose configs differ only in eta step as one
-    Optimizer; rows of a problem share its data.
+    2 / lambda_max threshold applies directly; the live rows take it as one
+    stacked product, which rounds as full_gradient does on each row.  The
+    rows of a batch all carry indices or none do.  Rows whose configs differ
+    only in eta step as one Optimizer; rows of a problem share its data.
 
-    A row stops, and leaves the work, on a frozen optimizer (a non-finite
-    gradient or parameter), a non-finite parameter or a loss of at least
-    LOSS_CAP.  Each step bounds every run's loss by
+    One predicate decides every stop: a row stops, and leaves the work,
+    after the step whose gradient or updated parameters hold a non-finite
+    value or whose loss is not below LOSS_CAP, and its final parameters are
+    the ones that step produced.  Each step bounds every run's loss by
     0.5 (||X||_F ||theta|| + ||y||)^2; only a run whose bound reaches
     SCREEN_CAP gets its loss computed, exactly.  With record, every run's
     loss is computed each step, and each row's Trace holds its per-step
@@ -220,7 +216,7 @@ def run_batch(
     for i, row in enumerate(rows):
         blocks.setdefault((row.algo, astuple(replace(row.config, eta=1.0))), []).append(i)
     opts = [Optimizer(rows[m[0]].algo, d, [rows[i].config for i in m]) for m in blocks.values()]
-    sizes = [len(m) for m in blocks.values()]
+    sizes = [len(opt.eta) for opt in opts]
     ids = np.array([i for m in blocks.values() for i in m])   # the row of each live run
     pid = np.array([rows[i].problem for i in ids])
     theta = np.asarray(theta0, dtype=float)[pid]
@@ -236,8 +232,10 @@ def run_batch(
     inv_n = 1.0 / n
     with np.errstate(all="ignore"):   # non-finite values stop their runs below
         for t in range(steps):
-            if samples is None:
-                g = np.array([full_gradient(problems[p], th) for p, th in zip(pid, theta)])
+            if samples is None:   # X.T (X theta - y), one (n, d) matrix per row
+                x = xs[pid]
+                g = (np.swapaxes(x, 1, 2)
+                     @ ((x @ theta[:, :, None])[:, :, 0] - ys[pid])[:, :, None])[:, :, 0]
             else:
                 idx = samples[t, ids]
                 g = sample_gradient(xs[pid, idx], ys[pid, idx], theta, n) * inv_n
@@ -247,8 +245,7 @@ def run_batch(
                     part = slice(start, start + size)
                     theta[part] = opt.update(theta[part], g[part])
                     start += size
-            stop = np.concatenate([opt.diverged for opt in opts])
-            stop |= ~np.isfinite(theta).all(axis=1)
+            stop = ~(np.isfinite(g).all(axis=1) & np.isfinite(theta).all(axis=1))
             if record:
                 loss = np.array([_loss_gap(problems[p], th, floors[p])
                                  for p, th in zip(pid, theta)])
@@ -261,7 +258,7 @@ def run_batch(
             else:
                 reach = x_norm[pid] * np.sqrt(np.vecdot(theta, theta)) + y_norm[pid]
                 for i in np.flatnonzero(~(0.5 * reach * reach < SCREEN_CAP) & ~stop):
-                    stop[i] = _over_cap(_loss_gap(problems[pid[i]], theta[i], floors[pid[i]]))
+                    stop[i] = not _loss_gap(problems[pid[i]], theta[i], floors[pid[i]]) < LOSS_CAP
             if snapshot_stride and (t + 1) % snapshot_stride == 0:
                 snaps[(t + 1) // snapshot_stride, ids] = theta
             if stop.any():
@@ -270,7 +267,7 @@ def run_batch(
                 keep = ~stop
                 for opt, part in zip(opts, np.split(keep, np.cumsum(sizes)[:-1])):
                     opt.select(part)
-                sizes = [len(opt.diverged) for opt in opts]
+                sizes = [len(opt.eta) for opt in opts]
                 ids, pid, theta = ids[keep], pid[keep], theta[keep]
                 if not ids.size:
                     break

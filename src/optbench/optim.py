@@ -24,12 +24,13 @@ global second moment v; and whether a running maximum v_hat is held.
     adabound    per-coordinate adam rate clipped into [eta_l(t), eta_u(t)]
                 around a terminal sgd rate
 
-Divergence policy: a non-finite gradient or parameter freezes that row alone;
-the step counter still advances.  Zero-gradient guard: when the global second
-moment is exactly zero the adasgd/adasgdmax step is skipped (the update is
-0/0 but the true gradient step is zero anyway).  Box-constrained runs project
-each iterate with ``linalg.project_box``.  Bias corrections use Python's float
-power: numpy's vectorized power may round differently.
+Divergence policy: rows are independent; a non-finite gradient or parameter
+makes only its own row non-finite, and the caller decides when a run stops.
+Zero-gradient guard: when the global second moment is exactly zero the
+adasgd/adasgdmax step is skipped (the update is 0/0 but the true gradient
+step is zero anyway).  Box-constrained runs project each iterate with
+``linalg.project_box``.  Bias corrections use Python's float power: numpy's
+vectorized power may round differently.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ import numpy as np
 ALGORITHMS = ("sgd", "adam", "amsgrad", "adasgd", "adasgdmax", "adabound")
 _DECAYING_SUM = ("sgd", "adasgd", "adasgdmax")
 _PER_COORDINATE = ("adam", "amsgrad", "adabound")
-# Per-row state; a frozen row keeps its values.
-_ROW_STATE = ("m", "v", "v_hat", "last_eta_t")
+_ROW_STATE = ("eta", "m", "v", "v_hat", "last_eta_t")
 
 
 @dataclass
@@ -69,9 +69,9 @@ class OptimizerConfig:
 class Optimizer:
     """State of a batch of B runs of ``algo`` in ``dim`` coordinates: the
     step count t, and per row the moments m, v and v_hat ((B, dim) arrays for
-    per-coordinate rules, (B, 1) columns for the global ones), the frozen
-    flag ((B,)), the learning rate ``eta`` and the last global rate eta_t
-    ((B, 1) columns; eta_t is NaN for the per-coordinate rules)."""
+    per-coordinate rules, (B, 1) columns for the global ones), the learning
+    rate ``eta`` and the last global rate eta_t ((B, 1) columns; eta_t is NaN
+    for the per-coordinate rules)."""
 
     def __init__(self, algo: str, dim: int, config: OptimizerConfig | Sequence[OptimizerConfig]):
         if algo not in ALGORITHMS:
@@ -92,7 +92,6 @@ class Optimizer:
         self.t = 0
         rows = len(configs)
         self.eta = np.array([c.eta for c in configs])[:, None]
-        self.diverged = np.zeros(rows, dtype=bool)
         self.last_eta_t = np.full((rows, 1), np.nan)
         self.m = np.zeros((rows, dim))
         self.v = np.zeros((rows, dim if algo in _PER_COORDINATE else 1))
@@ -100,34 +99,24 @@ class Optimizer:
 
     def select(self, rows) -> None:
         """Keep only the given rows (a boolean mask or indices)."""
-        self.eta = self.eta[rows]
-        for name in _ROW_STATE + ("diverged",):
+        for name in _ROW_STATE:
             setattr(self, name, getattr(self, name)[rows])
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The parameters after one step from theta with gradient g: (B, dim)
-        arrays, or (dim,) vectors for a one-row optimizer."""
+        arrays, or (dim,) vectors for a one-row optimizer.  Any other shape
+        raises ValueError and leaves the state as it was."""
         theta, g = np.asarray(theta, dtype=float), np.asarray(g, dtype=float)
-        rows = (-1, self.dim)
+        rows = (len(self.eta), self.dim)
+        shapes = (rows, (self.dim,)) if rows[0] == 1 else (rows,)
+        if theta.shape not in shapes or g.shape != theta.shape:
+            raise ValueError(f"theta and g must share one shape of {shapes}, "
+                             f"got {theta.shape} and {g.shape}")
         return self.update(theta.reshape(rows), g.reshape(rows)).reshape(theta.shape)
 
     def update(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
         """step() for (B, dim) float arrays, as the batch engine calls it."""
         self.t += 1
-        frozen = self.diverged | ~(np.isfinite(g).all(axis=-1) & np.isfinite(theta).all(axis=-1))
-        if not frozen.any():
-            return self._advance(theta, g)
-        self.diverged = frozen
-        # Some rows freeze: advance them all, then restore the frozen ones.
-        saved = {name: getattr(self, name) for name in _ROW_STATE}
-        with np.errstate(all="ignore"):
-            advanced = self._advance(theta, g)
-        keep = frozen[:, None]
-        for name, old in saved.items():
-            setattr(self, name, np.where(keep, old, getattr(self, name)))
-        return np.where(keep, theta, advanced)
-
-    def _advance(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
         c, algo, eta = self.config, self.algo, self.eta
         if algo in _DECAYING_SUM:
             self.m = c.beta1 * self.m + g

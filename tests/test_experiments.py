@@ -89,7 +89,7 @@ def reference_trajectory(problem, algo, config, steps, theta0, rng=None, *, snap
         ts.append(step_i)
         etas.append(float(opt.last_eta_t[0, 0]))
         gnorms.append(gn if np.isfinite(gn) else np.inf)
-        if (opt.diverged or not np.isfinite(val) or val >= LOSS_CAP
+        if (not np.all(np.isfinite(g)) or not np.isfinite(val) or val >= LOSS_CAP
                 or not np.all(np.isfinite(theta))):
             losses.append(LOSS_CAP)
             diverged = True
@@ -604,7 +604,7 @@ class TestBatchTraces:
     parameters, the stopped flag and the number of steps, for every
     algorithm.  The batch holds two problems and, on a third with a start
     near the float range, a row whose first gradient overflows, so it
-    freezes at step 1."""
+    stops at step 1."""
 
     STEPS = 300
 
@@ -622,7 +622,7 @@ class TestBatchTraces:
         rngs = [derive_rng(d, 9, i) if stochastic else None for i in range(len(runs))]
         rows = [BatchRow(k, algo, config, None if rng is None else rng.integers(n, size=self.STEPS))
                 for (k, algo, config), rng in zip(runs, rngs)]
-        with np.errstate(over="ignore", invalid="ignore"):   # the frozen row overflows
+        with np.errstate(over="ignore", invalid="ignore"):   # the last row overflows
             refs = [reference_trajectory(
                 probs[k], algo, config, self.STEPS, theta0[k],
                 derive_rng(d, 9, i) if stochastic else None, snapshot_stride=7)
@@ -638,6 +638,8 @@ class TestBatchTraces:
         if not stochastic:   # full-gradient sgd at 2.1 / lambda_max stops early
             early = refs[len(TRACE_ROSTER) + 1]
             assert early.diverged and 1 < len(early.t) < self.STEPS
+            # It stops at the loss cap, before its gradient can overflow.
+            assert np.isfinite(early.grad_norm[-1])
         for i, ref in enumerate(refs):
             assert_same_trace(result.traces[i], ref)
             assert result.final_loss[i] == ref.final_loss

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -241,16 +242,31 @@ class TestAdaBound:
 
 
 class TestSharedBehavior:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the moments
     @pytest.mark.parametrize("algo", ALGORITHMS)
-    def test_divergence_freezes_state(self, algo):
+    def test_non_finite_gradient_makes_its_row_non_finite(self, algo):
+        # The optimizer is a pure update rule: it does not stop a run, its
+        # caller does.
         c = cfg(eta_sgd=0.1, gamma=1e-3) if algo == "adabound" else cfg()
         opt = Optimizer(algo, 2, c)
         theta = opt.step(np.zeros(2), np.array([1.0, np.inf]))
-        assert opt.diverged
-        np.testing.assert_array_equal(theta, np.zeros(2))
-        theta = opt.step(theta, np.ones(2))
-        np.testing.assert_array_equal(theta, np.zeros(2))
-        assert opt.t == 2  # the counter still advances
+        assert not np.isfinite(theta).all()
+        assert opt.t == 1
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_wrong_shape_raises_and_leaves_the_state(self, algo):
+        c = cfg(eta_sgd=0.1, gamma=1e-3) if algo == "adabound" else cfg()
+        for opt, theta in ((Optimizer(algo, 2, [c, replace(c, eta=0.2)]), np.zeros(2)),
+                           (Optimizer(algo, 2, c), np.zeros((3, 2))),
+                           (Optimizer(algo, 2, c), np.zeros(3))):
+            opt.step(np.zeros((len(opt.eta), 2)), np.ones((len(opt.eta), 2)))
+            before = {k: getattr(opt, k).copy() for k in ("eta",) + STATE}
+            with pytest.raises(ValueError, match="share one shape"):
+                opt.step(theta, np.ones_like(theta))
+            with pytest.raises(ValueError, match="share one shape"):
+                opt.step(np.zeros((len(opt.eta), 2)), np.ones((len(opt.eta), 3)))
+            assert opt.t == 1
+            assert all(same_bits(getattr(opt, k), v) for k, v in before.items())
 
     @pytest.mark.parametrize("algo", ["adam", "amsgrad", "adabound"])
     def test_per_coordinate_rates_positive(self, algo):
@@ -471,30 +487,31 @@ def test_matches_reference_bitwise_on_step_stream_grid(algo):
                 new, ref = Optimizer(algo, dim, config), ReferenceOptimizer(algo, dim, config)
                 theta_new = theta_ref = np.linspace(-1.0, 1.0, dim)
                 for g in stream:
+                    # The reference freezes where Optimizer leaves the stop
+                    # to its caller: compare up to the first non-finite g or
+                    # theta.
+                    if not np.isfinite(g).all():
+                        break
                     theta_new, theta_ref = new.step(theta_new, g), ref.step(theta_ref, g)
                     assert same_bits(theta_new, theta_ref)
                     assert all(same_bits(np.reshape(getattr(new, k)[0], np.shape(getattr(ref, k))),
                                         getattr(ref, k)) for k in STATE)
-                    assert (new.t, bool(new.diverged)) == (ref.t, ref.diverged)
+                    assert new.t == ref.t
                     steps += 1
-    assert steps == 2 * len(grid_configs(algo)) * 7 * 30
-
-
-@pytest.mark.parametrize("algo", ALGORITHMS)
-def test_non_finite_parameters_freeze_like_reference(algo):
-    config = grid_configs(algo)[-1]
-    new, ref = Optimizer(algo, 2, config), ReferenceOptimizer(algo, 2, config)
-    for theta in (np.array([0.5, -1.0]), np.array([np.nan, 1.0]), np.array([0.5, -1.0])):
-        assert same_bits(new.step(theta, np.ones(2)), ref.step(theta, np.ones(2)))
-        assert bool(new.diverged) == ref.diverged
-    assert new.diverged and new.t == 3
+                    if not np.isfinite(theta_ref).all():
+                        break
+    # Four finite streams of 30 steps, three whose step 13 has a non-finite
+    # g; adam and amsgrad at epsilon 0 make theta 0/0 on the zeros-first
+    # stream's first step.
+    nan_first = sum(c.epsilon == 0.0 for c in grid_configs(algo)) if algo in ("adam", "amsgrad") else 0
+    assert steps == 2 * (len(grid_configs(algo)) * (4 * 30 + 3 * 12) - nan_first * 29)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_batch_rows_match_single_runs_bitwise(algo):
     # Rows differ in eta; one row sees a non-finite gradient at step 7 and
     # another only zero gradients for its first 4 steps, so the batch runs
-    # through the partial-freeze and the zero-gradient paths.  Each single
+    # through a non-finite row beside finite ones and the zero-gradient path.  Each single
     # run is a one-row batch, stepped with (dim,) vectors on even rows and
     # (1, dim) rows on odd ones; its state is row i of the batch's.
     base = grid_configs(algo)[-1]
@@ -519,8 +536,6 @@ def test_batch_rows_match_single_runs_bitwise(algo):
             assert same_bits(theta[i], thetas[i].reshape(dim))
             for k in STATE:
                 assert same_bits(getattr(batch, k)[i:i + 1], getattr(opt, k))
-            assert batch.diverged[i:i + 1].tolist() == opt.diverged.tolist()
-    assert batch.diverged.tolist() == [False, True, False, False]
 
 
 def test_batch_select_keeps_rows():
@@ -529,7 +544,7 @@ def test_batch_select_keeps_rows():
     batch.step(np.zeros((3, 2)), np.ones((3, 2)))
     batch.select(np.array([True, False, True]))
     assert batch.eta[:, 0].tolist() == [0.1, 0.3]
-    assert batch.m.shape == batch.v.shape == (2, 2) and batch.diverged.shape == (2,)
+    assert batch.m.shape == batch.v.shape == (2, 2)
     batch.select(np.array([1]))   # down to a one-row batch
     assert batch.eta.tolist() == [[0.3]]
     assert batch.v_hat.shape == batch.last_eta_t.shape == (1, 1) and batch.m.shape == (1, 2)
