@@ -24,6 +24,7 @@ from .optim import Optimizer, OptimizerConfig
 from .problems import (
     ONLINE_KINDS,
     RANK_CUTOFF,
+    ZERO_SPECTRUM_FLOOR,
     GenSpec,
     QuadraticProblem,
     full_loss,
@@ -40,7 +41,7 @@ from .problems import (
 
 # Divergence is reported as log10 loss = 50.
 LOSS_CAP = 1e50
-# A batch computes a run's loss, exactly, only when its bound
+# A screened run gets its loss computed, exactly, only when its bound
 # 0.5 (||X||_F ||theta|| + ||y||)^2 reaches this; the margin below LOSS_CAP
 # covers the bound's rounding, so a bound under it proves the loss under the cap.
 SCREEN_CAP = LOSS_CAP / 2
@@ -130,12 +131,6 @@ def _loss_floor(problem: QuadraticProblem) -> float:
     return full_loss(problem, problem.theta_star) if problem.theta_star is not None else 0.0
 
 
-def _loss_gap(problem: QuadraticProblem, theta: np.ndarray, floor: float) -> float:
-    """Regret-in-loss of theta: its loss above the floor, clipped at 0."""
-    val = full_loss(problem, theta) - floor
-    return 0.0 if val < 0.0 else val
-
-
 @dataclass(frozen=True)
 class BatchRow:
     """One run of a batch: the index of its problem, its optimizer, and its
@@ -184,13 +179,14 @@ def run_batch(
     One predicate decides every stop: a row stops, and leaves the work,
     after the step whose gradient or updated parameters hold a non-finite
     value or whose loss is not below LOSS_CAP, and its final parameters are
-    the ones that step produced.  Each step bounds every run's loss by
-    0.5 (||X||_F ||theta|| + ||y||)^2; only a run whose bound reaches
-    SCREEN_CAP gets its loss computed, exactly.  With record, every run's
-    loss is computed each step, and each row's Trace holds its per-step
-    regret-in-loss (LOSS_CAP at the step that stops it), eta_t and gradient
-    norm; with snapshot_stride >= 1 it holds theta0 and the parameters every
-    snapshot_stride steps.  Without either, nothing is kept per step.
+    the ones that step produced.  Full-gradient and recorded rows form
+    r = X theta - y once per step: their loss 0.5 r . r (stop test, record
+    and final loss) and a full-gradient row's next gradient X.T r come from
+    it.  Sampled unrecorded rows are screened instead (see SCREEN_CAP).  With
+    record, each row's Trace holds its per-step regret-in-loss (LOSS_CAP at
+    the step that stops it), eta_t and gradient norm; with snapshot_stride
+    >= 1 it holds theta0 and the parameters every snapshot_stride steps.
+    Without either, nothing is kept per step.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -231,11 +227,12 @@ def run_batch(
         snaps[0, ids] = theta
     inv_n = 1.0 / n
     with np.errstate(all="ignore"):   # non-finite values stop their runs below
+        if exact := samples is None or record:   # each live row's X, y and X theta - y
+            x, y = xs[pid], ys[pid]
+            r = (x @ theta[:, :, None])[:, :, 0] - y
         for t in range(steps):
-            if samples is None:   # X.T (X theta - y), one (n, d) matrix per row
-                x = xs[pid]
-                g = (np.swapaxes(x, 1, 2)
-                     @ ((x @ theta[:, :, None])[:, :, 0] - ys[pid])[:, :, None])[:, :, 0]
+            if samples is None:   # X.T (X theta - y), from the residual at this theta
+                g = (np.swapaxes(x, 1, 2) @ r[:, :, None])[:, :, 0]
             else:
                 idx = samples[t, ids]
                 g = sample_gradient(xs[pid, idx], ys[pid, idx], theta, n) * inv_n
@@ -246,19 +243,20 @@ def run_batch(
                     theta[part] = opt.update(theta[part], g[part])
                     start += size
             stop = ~(np.isfinite(g).all(axis=1) & np.isfinite(theta).all(axis=1))
-            if record:
-                loss = np.array([_loss_gap(problems[p], th, floors[p])
-                                 for p, th in zip(pid, theta)])
+            if exact:
+                r = (x @ theta[:, :, None])[:, :, 0] - y
+                loss = np.maximum(0.5 * np.vecdot(r, r) - floors[pid], 0.0)
                 stop |= ~(loss < LOSS_CAP)   # non-finite or at least the cap
+            else:
+                reach = x_norm[pid] * np.sqrt(np.vecdot(theta, theta)) + y_norm[pid]
+                for i in np.flatnonzero(~(0.5 * reach * reach < SCREEN_CAP) & ~stop):
+                    stop[i] = not full_loss(problems[pid[i]], theta[i]) - floors[pid[i]] < LOSS_CAP
+            if record:
                 loss[stop] = LOSS_CAP
                 grad_norm = np.sqrt(np.vecdot(g, g))
                 history[:, t, ids] = (
                     loss, np.concatenate([opt.last_eta_t[:, 0] for opt in opts]),
                     np.where(np.isfinite(grad_norm), grad_norm, np.inf))
-            else:
-                reach = x_norm[pid] * np.sqrt(np.vecdot(theta, theta)) + y_norm[pid]
-                for i in np.flatnonzero(~(0.5 * reach * reach < SCREEN_CAP) & ~stop):
-                    stop[i] = not _loss_gap(problems[pid[i]], theta[i], floors[pid[i]]) < LOSS_CAP
             if snapshot_stride and (t + 1) % snapshot_stride == 0:
                 snaps[(t + 1) // snapshot_stride, ids] = theta
             if stop.any():
@@ -269,9 +267,12 @@ def run_batch(
                     opt.select(part)
                 sizes = [len(opt.eta) for opt in opts]
                 ids, pid, theta = ids[keep], pid[keep], theta[keep]
+                if exact:
+                    x, y, r, loss = x[keep], y[keep], r[keep], loss[keep]
                 if not ids.size:
                     break
-    final[ids] = [_loss_gap(problems[p], th, floors[p]) for p, th in zip(pid, theta)]
+    final[ids] = loss if exact else np.maximum(
+        [full_loss(problems[p], th) for p, th in zip(pid, theta)] - floors[pid], 0.0)
     stopped[ids] = False
     final_theta[ids] = theta
     traces = None
@@ -801,6 +802,8 @@ def sweep_angle(
     and starting point across the roster."""
     if seeds < 1 or steps < 1:
         raise ValueError("seeds and steps must be >= 1")
+    if n < 2:
+        raise ValueError("n < 2 forces a singular X.T X; set n >= 2")
     # The spectrum is (cond * lambda_min, lambda_min): _check_spectrum's
     # conditions, in the keys this sweep takes.
     if not 1 <= cond < np.inf:
@@ -925,6 +928,12 @@ def minnorm_experiment(
         raise ValueError("d must be >= 2: the problem needs a positive and a zero eigenvalue")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    # The positive spectrum runs from lambda_max down to ZERO_SPECTRUM_FLOOR
+    # times it: _check_spectrum's conditions, in the keys this runner takes.
+    _check_positive("lambda_max", lambda_max)
+    if not (ZERO_SPECTRUM_FLOOR * lambda_max >= sys.float_info.min and n * lambda_max < np.inf):
+        raise ValueError(f"{ZERO_SPECTRUM_FLOOR:g} * lambda_max must be a normal float "
+                         "and n * lambda_max finite")
     spec = GenSpec(n=n, d=d, lambda_max=lambda_max, lambda_min=0.0)
     problem = generate_least_squares(spec, derive_rng(master_seed, 40))
     null_rows = problem.q[problem.lam <= RANK_CUTOFF * problem.lambda_max]

@@ -336,11 +336,6 @@ class OnlineProblem:
         diff = points - data
         return 0.5 * np.vecdot(diff, diff)
 
-    def grad(self, t: int, theta: np.ndarray) -> np.ndarray:
-        if self.kind == "linear-adversarial":
-            return self.data[t].copy()
-        return theta - self.data[t]
-
     def comparator(self, horizon: int | None = None) -> np.ndarray:
         """Best fixed point in the box: exact per-coordinate vertex choice for
         linear losses, projected mean of the centers for quadratic tracking."""

@@ -395,6 +395,7 @@ class TestMain:
     RIDGE_SPECTRUM = ("need 0 < lambda_min <= lambda_max, lambda_min a normal float "
                       "and pool_n * lambda_max finite")
     STRIDE = "need 1 <= snapshot_stride <= steps"
+    MINNORM_SPECTRUM = "1e-06 * lambda_max must be a normal float and n * lambda_max finite"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sub,override,message", [
@@ -421,6 +422,8 @@ class TestMain:
         ("minnorm", "d=1",
          "d must be >= 2: the problem needs a positive and a zero eigenvalue"),
         ("minnorm", "steps=0", "steps must be >= 1"),
+        ("minnorm", "lambda_max=1e-310", MINNORM_SPECTRUM),
+        ("minnorm", "lambda_max=1e308", MINNORM_SPECTRUM),
         ("distance-bound", "bound_scale=nan", "bound_scale must be positive and finite"),
         ("distance-bound", "bound_scale=-1", "bound_scale must be positive and finite"),
         ("distance-bound", "bound_scale=inf", "bound_scale must be positive and finite"),
@@ -449,6 +452,7 @@ class TestMain:
         ("angle", "lambda_min=1e-320",
          "lambda_min must be a normal float and n * cond * lambda_min finite"),
         ("angle", "steps=-1", "seeds and steps must be >= 1"),
+        ("angle", "n=1", "n < 2 forces a singular X.T X; set n >= 2"),
         ("heatmap", "d=1", "d = 1 admits a single eigenvalue; set cond_values=1"),
         ("heatmap", "n=5", "n < d forces a singular X.T X; set n >= d"),
         ("heatmap", "seeds=0", "seeds and steps must be >= 1"),

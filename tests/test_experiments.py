@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import optbench.experiments as experiments
 import optbench.problems as problems
@@ -316,8 +318,9 @@ def reference_regret_rows(master_seed, t_values, d, seeds, kinds=problems.ONLINE
                 v_hat = np.empty(max(t_values))
                 for t in range(max(t_values)):
                     played[t] = theta
-                    theta = project_box(opt.step(theta, problem.grad(t, theta)),
-                                        problem.box_lo, problem.box_hi)
+                    g = (problem.data[t] if problem.kind == "linear-adversarial"
+                         else theta - problem.data[t])
+                    theta = project_box(opt.step(theta, g), problem.box_lo, problem.box_hi)
                     v_hat[t] = opt.v_hat[0, 0]
                 for t in checkpoints:
                     r_t = problems.regret(problem, played, horizon=t)
@@ -793,6 +796,51 @@ class TestBatchStopRule:
             assert not trace.diverged and len(trace.t) == steps
             assert 1e20 < trace.final_loss < LOSS_CAP
             assert result.final_loss[i] == trace.final_loss
+
+
+class TestExactRows:
+    """Full-gradient rows and the rows of a recording batch take their loss
+    from the residual X theta - y their step forms anyway: full_loss runs
+    only for the floors, and the recorded losses equal the reference loop's
+    exact losses bit for bit."""
+
+    @pytest.mark.parametrize("stochastic,record", [(False, False), (False, True), (True, True)])
+    def test_full_loss_runs_only_for_the_floors(self, monkeypatch, stochastic, record):
+        probs = [small_problem(seed, d=4, n=40) for seed in range(2)]
+        theta0 = np.array([derive_rng(seed, 1).standard_normal(4) for seed in range(2)])
+        roster = (("sgd", 0.01), ("adam", 0.01))
+        rows = [BatchRow(k, algo, OptimizerConfig(eta=eta),
+                         derive_rng(k, 2, i_opt).integers(40, size=200) if stochastic else None)
+                for k in range(2) for i_opt, (algo, eta) in enumerate(roster)]
+        calls = counting_full_loss(monkeypatch)
+        result = run_batch(probs, theta0, rows, 200, record=record)
+        assert not result.stopped.any() and np.isfinite(result.final_loss).all()
+        assert calls[0] == len(probs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 300), d=st.integers(1, 100), log_scale=st.floats(-5.0, 5.0),
+           stochastic=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_recorded_losses_equal_the_reference_bit_for_bit(self, n, d, log_scale, stochastic,
+                                                             seed):
+        lambda_min = 0.0 if n < d else 1.0 if d == 1 else 1e-2
+        probs = [generate_least_squares(GenSpec(n=n, d=d, lambda_max=1.0, lambda_min=lambda_min),
+                                        derive_rng(seed, k)) for k in range(2)]
+        theta0 = np.array([(0.0 if p.theta_star is None else p.theta_star)
+                           + 10.0 ** log_scale * derive_rng(seed, 5, k).standard_normal(d)
+                           for k, p in enumerate(probs)])
+        steps = 30
+        runs = [(k, algo, config) for k in range(2)
+                for algo, config in (("sgd", OptimizerConfig(eta=1.0, beta1=0.0)),
+                                     ("adam", OptimizerConfig(eta=0.05)))]
+        rows = [BatchRow(k, algo, config,
+                         derive_rng(seed, 9, i).integers(n, size=steps) if stochastic else None)
+                for i, (k, algo, config) in enumerate(runs)]
+        result = run_batch(probs, theta0, rows, steps, record=True)
+        for i, (k, algo, config) in enumerate(runs):
+            ref = reference_trajectory(probs[k], algo, config, steps, theta0[k],
+                                       derive_rng(seed, 9, i) if stochastic else None)
+            np.testing.assert_array_equal(result.traces[i].loss, ref.loss)
+            assert result.final_loss[i] == ref.final_loss
 
 
 class RecordingPool:

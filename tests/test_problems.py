@@ -337,8 +337,8 @@ class TestOnline:
         p = make_online_problem("linear-adversarial", 50, 1, 1.0, 2.0,
                                 np.random.default_rng(18))
         assert p.diameter_inf == 2.0
-        for t in range(50):
-            assert abs(p.grad(t, np.zeros(1))[0]) <= p.grad_bound_inf
+        assert p.data.shape == (50, 1)
+        assert np.abs(p.data).max() <= p.grad_bound_inf
 
     def test_quadratic_constant_center_zero_regret(self):
         p = make_online_problem("quadratic-tracking", 20, 3, 1.0, 1.0,
