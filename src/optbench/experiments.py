@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -517,21 +516,25 @@ def _play_online(problems: list, prob: list[int],
     on every row at once: row b runs at etas[b] on problems[prob[b]], and the
     problems share d and the box.  Returns played, with played[b, t] the point
     row b plays in round t, and v_hat, with v_hat[t, b] row b's v-hat after
-    round t's step."""
+    round t's step.
+
+    The box is fixed for the run, so project_box checks it once, on the start
+    point; each round then clamps with the expression project_box returns."""
     t_max, d = problems[0].data.shape
     opt = Optimizer("adasgdmax", d, [OptimizerConfig(eta=e, beta1=0.0, beta2=BETA2,
                                                      regret_decay=True) for e in etas])
     data = np.stack([p.data for p in problems], axis=1)  # (T, P, d)
+    prob = np.asarray(prob)
     tracking = np.array([p.kind == "quadratic-tracking" for p in problems])[prob, None]
     lo, hi = problems[0].box_lo, problems[0].box_hi
-    theta = np.zeros((len(etas), d))
+    theta = project_box(np.zeros((len(etas), d)), lo, hi)
     played = np.empty((len(etas), t_max, d))
     v_hat = np.empty((t_max, len(etas)))
     for t in range(t_max):
         played[:, t] = theta
-        x = data[t, prob]
+        x = data[t].take(prob, axis=0)
         g = np.where(tracking, theta - x, x)
-        theta = project_box(opt.update(theta, g), lo, hi)
+        theta = np.minimum(np.maximum(opt.update(theta, g), lo), hi)
         v_hat[t] = opt.v_hat[:, 0]
     return played, v_hat
 
@@ -664,6 +667,8 @@ def _map_cells(fn, items: list, workers: int) -> list:
     per item when workers > 1."""
     processes = min(workers, len(items))
     if processes > 1:
+        # imported here: it loads multiprocessing, which a one-worker call never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

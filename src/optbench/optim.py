@@ -28,9 +28,11 @@ Divergence policy: rows are independent; a non-finite gradient or parameter
 makes only its own row non-finite, and the caller decides when a run stops.
 Zero-gradient guard: when the global second moment is exactly zero the
 adasgd/adasgdmax step is skipped (the update is 0/0 but the true gradient
-step is zero anyway).  Box-constrained runs project each iterate with
-``linalg.project_box``.  Bias corrections use Python's float power: numpy's
-vectorized power may round differently.
+step is zero anyway).  The optimizer knows no box: a box-constrained caller
+checks its box once, with ``linalg.project_box`` on the start point, and
+clamps each iterate with the same expression, ``np.minimum(np.maximum(theta,
+lo), hi)``.  Bias corrections use Python's float power: numpy's vectorized
+power may round differently.
 """
 
 from __future__ import annotations
@@ -130,15 +132,19 @@ class Optimizer:
             self.v = c.beta2 * self.v + (1.0 - c.beta2) * np.vecdot(g, g)[:, None]
             scale = self.v / bc2
             if algo == "adasgdmax":
-                self.v_hat = np.maximum(self.v_hat, scale)
-                scale = self.v_hat
-            # moving is False while the second moment is exactly zero: the
-            # update is 0/0, so the rate is 0 (the true step is zero anyway),
-            # 1 stands in for the zero scale and theta stays where it is.
+                self.v_hat = scale = np.maximum(self.v_hat, scale)
+            # moving is False while the second moment is exactly zero (or NaN):
+            # the update is 0/0, so the rate is 0 (the true step is zero anyway),
+            # 1 stands in for the zero scale and theta stays where it is.  When
+            # every row moves, the masked expression reduces to the plain one
+            # bit for bit (True * eta == eta, scale + 0.0 == scale).
             moving = scale > 0.0
             if algo == "adasgdmax" and c.regret_decay:
                 scale = self.t * scale
-            self.last_eta_t = moving * eta / np.sqrt((scale + (1.0 - moving)) / self.dim)
+            if moving.all():
+                self.last_eta_t = eta / np.sqrt(scale / self.dim)
+            else:
+                self.last_eta_t = moving * eta / np.sqrt((scale + (1.0 - moving)) / self.dim)
             return theta - self.last_eta_t * self.m
         self.v = c.beta2 * self.v + (1.0 - c.beta2) * g * g
         bc1 = 1.0 - c.beta1 ** self.t

@@ -22,6 +22,15 @@ from optbench.experiments import sweep_angle
 from optbench.optim import Optimizer
 
 
+def fresh_python(*args):
+    """Run a new interpreter that imports optbench from this checkout."""
+    src = os.path.dirname(os.path.dirname(optbench.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def read(path):
     return path.read_bytes()
 
@@ -122,11 +131,7 @@ class TestMain:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_module_entry_point(self):
-        src = os.path.dirname(os.path.dirname(optbench.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-m", "optbench.cli"], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = fresh_python("-m", "optbench.cli")
         assert proc.returncode == 2
         assert proc.stderr.startswith("usage: optbench")
 
@@ -134,15 +139,20 @@ class TestMain:
         # QR and eigh go through numpy.linalg, scipy.special is imported only
         # where align-mc needs it, and scipy.stats is a test-only oracle.
         # numpy.random is loaded at import, so a timed run does not pay for it.
-        src = os.path.dirname(os.path.dirname(optbench.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
         code = ("import sys, optbench, optbench.cli; print(sorted(m for m in sys.modules "
                 "if m.startswith('scipy')), 'numpy.random' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[] True"
+
+    def test_import_loads_no_process_pool(self):
+        # Only --workers > 1 starts a ProcessPoolExecutor, so _map_cells imports
+        # it there, and no other call pays for loading multiprocessing.
+        code = ("import sys, optbench, optbench.cli; print([m for m in ('multiprocessing', "
+                "'concurrent.futures.process') if m in sys.modules])")
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("sub,overrides,recorded", [
         ("stability", ["n=6", "d=3", "swaps=1", "seeds=1", "degenerate_n=3",
@@ -351,7 +361,7 @@ class TestMain:
         def no_round(*args):
             raise AssertionError("a round ran before the inputs were checked")
 
-        monkeypatch.setattr(experiments, "project_box", no_round)
+        monkeypatch.setattr(experiments, "_play_online", no_round)
         code = main(["regret", "--seed", "1", "--out", str(tmp_path), "--set", override])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 import warnings
@@ -296,6 +297,27 @@ class TestTheoremChecks:
         assert bound_rates[0] > bound_rates[1] > bound_rates[2]
 
 
+def reference_play(problem, eta, t_max):
+    """One run of box-constrained AdaSGDMax with the 1/sqrt(t) decay, projecting
+    every round with project_box: the points played and v-hat after each round."""
+    d = problem.data.shape[1]
+    opt = Optimizer("adasgdmax", d, OptimizerConfig(
+        eta=eta, beta1=0.0, beta2=experiments.BETA2, regret_decay=True))
+    theta = np.zeros(d)
+    played = np.empty((t_max, d))
+    v_hat = np.empty(t_max)
+    for t in range(t_max):
+        played[t] = theta
+        g = problem.data[t] if problem.kind == "linear-adversarial" else theta - problem.data[t]
+        theta = project_box(opt.step(theta, g), problem.box_lo, problem.box_hi)
+        v_hat[t] = opt.v_hat[0, 0]
+    return played, v_hat
+
+
+def corollary_eta(eta, problem, d):
+    return eta * problem.diameter_inf / (problem.grad_bound_inf * np.sqrt(d))
+
+
 def reference_regret_rows(master_seed, t_values, d, seeds, kinds=problems.ONLINE_KINDS,
                           schedules=("theorem", "corollary"), box_halfwidth=1.0, g_bound=1.0,
                           eta=1.0):
@@ -308,20 +330,8 @@ def reference_regret_rows(master_seed, t_values, d, seeds, kinds=problems.ONLINE
                 kind, max(t_values), d, box_halfwidth, g_bound,
                 derive_rng(master_seed, 4, i_k, i_s))
             for schedule in schedules:
-                eta_run = eta
-                if schedule == "corollary":
-                    eta_run = eta * problem.diameter_inf / (problem.grad_bound_inf * np.sqrt(d))
-                opt = Optimizer("adasgdmax", d, OptimizerConfig(
-                    eta=eta_run, beta1=0.0, beta2=experiments.BETA2, regret_decay=True))
-                theta = np.zeros(d)
-                played = np.empty((max(t_values), d))
-                v_hat = np.empty(max(t_values))
-                for t in range(max(t_values)):
-                    played[t] = theta
-                    g = (problem.data[t] if problem.kind == "linear-adversarial"
-                         else theta - problem.data[t])
-                    theta = project_box(opt.step(theta, g), problem.box_lo, problem.box_hi)
-                    v_hat[t] = opt.v_hat[0, 0]
+                eta_run = eta if schedule == "theorem" else corollary_eta(eta, problem, d)
+                played, v_hat = reference_play(problem, eta_run, max(t_values))
                 for t in checkpoints:
                     r_t = problems.regret(problem, played, horizon=t)
                     bound = experiments._regret_bound(
@@ -349,6 +359,29 @@ class TestRegretBatch:
         assert {(r["kind"], r["schedule"]) for r in rows} == {
             (k, s) for k in problems.ONLINE_KINDS for s in ("theorem", "corollary")}
         assert rows == expected
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_rounds_match_the_one_run_loop_byte_for_byte(self, d):
+        # Bytes see what == on floats cannot: -0.0 against 0.0.  The last
+        # problem's round-0 gradient is zero, so its rows start on the
+        # non-moving path of the update beside rows that move.
+        t_max = 60
+        probs = [problems.make_online_problem(kind, t_max, d, 1.0, 1.0,
+                                              derive_rng(7, 4, i_k, i_s))
+                 for i_k, kind in enumerate(problems.ONLINE_KINDS) for i_s in range(2)]
+        zero_start = problems.make_online_problem("linear-adversarial", t_max, d, 1.0, 1.0,
+                                                  derive_rng(7, 5))
+        zero_start.data[0] = 0.0
+        probs.append(zero_start)
+        runs = [(i_p, eta) for i_p, p in enumerate(probs)
+                for eta in (1.0, corollary_eta(1.0, p, d))]
+        played, v_hat = experiments._play_online(probs, [i_p for i_p, _ in runs],
+                                                 [eta for _, eta in runs])
+        assert (v_hat[0] == 0.0).tolist() == [i_p == len(probs) - 1 for i_p, _ in runs]
+        for b, (i_p, eta) in enumerate(runs):
+            ref_played, ref_v_hat = reference_play(probs[i_p], eta, t_max)
+            assert played[b].tobytes() == ref_played.tobytes(), b
+            assert v_hat[:, b].tobytes() == ref_v_hat.tobytes(), b
 
     def test_rows_match_for_one_kind_and_schedule_with_a_wider_box(self):
         params = dict(kinds=("quadratic-tracking",), schedules=("corollary",),
@@ -867,7 +900,7 @@ class TestSweeps:
     def test_the_pool_has_at_most_one_process_per_item(self, monkeypatch, items, workers,
                                                         pools):
         sizes = []
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda max_workers: RecordingPool(sizes, max_workers))
         assert experiments._map_cells(abs, list(range(-items, 0)), workers) == \
             list(range(items, 0, -1))
@@ -877,7 +910,7 @@ class TestSweeps:
         grid = dict(lambda_max_values=(1.0,), cond_values=(1.0,), seeds=1, steps=50, d=4, n=40)
         serial = sweep_heatmap(5, **grid, workers=1)
         sizes = []
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda max_workers: RecordingPool(sizes, max_workers))
         assert sweep_heatmap(5, **grid, workers=64) == serial
         assert sizes == []
