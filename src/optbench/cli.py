@@ -66,16 +66,10 @@ COMMANDS: dict[str, Command] = {
 
 def defaults(subcommand: str) -> dict:
     """The subcommand's keys and their desk-scale defaults: every keyword-only
-    argument of its runner whose default is a scalar or a non-empty tuple of
-    scalars, except ``workers``."""
+    argument of its runner, except ``workers``."""
     runner = getattr(ex, COMMANDS[subcommand].runner)
-    keys = {}
-    for name, param in inspect.signature(runner).parameters.items():
-        values = param.default if isinstance(param.default, tuple) else (param.default,)
-        if (param.kind is param.KEYWORD_ONLY and name != "workers" and values
-                and all(isinstance(v, (bool, int, float, str)) for v in values)):
-            keys[name] = param.default
-    return keys
+    return {name: param.default for name, param in inspect.signature(runner).parameters.items()
+            if param.kind is param.KEYWORD_ONLY and name != "workers"}
 
 
 # Named parameter bundles; figure presets carry the reference experiment sizes.
@@ -183,16 +177,6 @@ def emit_csv(records: list[dict], fieldnames: list[str], path: str) -> str:
     return hashlib.sha256(content).hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def dispatch(subcommand: str, params: dict, *, seed: int, workers: int, out_dir: str,
              preset: str | None, applied_overrides: dict) -> int:
     command = COMMANDS[subcommand]
@@ -213,8 +197,8 @@ def dispatch(subcommand: str, params: dict, *, seed: int, workers: int, out_dir:
         manifest = {
             "subcommand": subcommand,
             "preset": preset,
-            "overrides": {k: _jsonable(v) for k, v in applied_overrides.items()},
-            "config": {k: _jsonable(v) for k, v in params.items()},
+            "overrides": applied_overrides,
+            "config": params,
             "master_seed": seed,
             "workers": extra.get("workers", 1),
             "code_version": __version__,

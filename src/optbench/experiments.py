@@ -30,7 +30,6 @@ from .problems import (
     generate_least_squares,
     lstsq_min_norm,
     make_online_problem,
-    make_rotated_2d,
     min_norm_solution,
     problem_from_data,
     regret,
@@ -305,12 +304,13 @@ def trajectory_experiment(
     per step; it samples unless stochastic is false."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    config = OptimizerConfig(eta=eta, beta1=beta1)
+    Optimizer(algo, d, config)   # checks algo and config before the problem is drawn
     spec = _checked_spec(n, d, lambda_max, cond)
     problem = generate_least_squares(spec, derive_rng(master_seed, 90))
     rng = derive_rng(master_seed, 91)
     theta0 = rng.standard_normal(d)
-    trace = run_trajectory(problem, algo, OptimizerConfig(eta=eta, beta1=beta1), steps, theta0,
-                           rng if stochastic else None)
+    trace = run_trajectory(problem, algo, config, steps, theta0, rng if stochastic else None)
     return [{"t": int(t), "loss": loss, "eta_t": eta_t, "grad_norm": grad_norm}
             for t, loss, eta_t, grad_norm
             in zip(trace.t, trace.loss, trace.eta_t, trace.grad_norm)]
@@ -417,6 +417,8 @@ def check_theorem_convergence_range(
     """
     _check_positive("tol", tol)
     spec = _checked_spec(d, d, lambda_max, cond)
+    for mult in eta_multipliers:
+        _check_positive("eta_multipliers", mult / lambda_max)
     problem = generate_least_squares(spec, derive_rng(master_seed, 0))
     theta0 = problem.theta_star + PERTURBATION * problem.q[0]
     threshold = 2.0 / lambda_max
@@ -473,6 +475,8 @@ def check_distance_bound(
     failure path).
     """
     _check_positive("bound_scale", bound_scale)
+    for eta in eta_values:
+        _check_positive("eta_values", eta)
     specs = [[_checked_spec(d, d, lambda_max, cond, cond_key="cond_values")
               for cond in cond_values] for d in d_values]
     runs = list(itertools.product(range(len(cond_values)), eta_values))
@@ -674,6 +678,18 @@ def _map_cells(fn, items: list, workers: int) -> list:
     return [fn(item) for item in items]
 
 
+def _draw(master_seed: int, specs: list[GenSpec],
+          tags: list[tuple]) -> tuple[list[QuadraticProblem], np.ndarray]:
+    """The problems of specs and their starts: problem k, then its standard
+    normal start, drawn from derive_rng(master_seed, *tags[k])."""
+    problems, theta0 = [], []
+    for spec, problem_tags in zip(specs, tags):
+        rng = derive_rng(master_seed, *problem_tags)
+        problems.append(generate_least_squares(spec, rng))
+        theta0.append(rng.standard_normal(spec.d))
+    return problems, np.array(theta0)
+
+
 def _roster_rows(master_seed: int, problems: list[QuadraticProblem], tags: list[tuple],
                  roster: tuple[RosterEntry, ...], steps: int) -> list[BatchRow]:
     """One stochastic row per (problem, roster entry), problem-major: entry
@@ -688,43 +704,37 @@ def _roster_rows(master_seed: int, problems: list[QuadraticProblem], tags: list[
 
 
 def _sweep_group(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Build one group of sweep problems and run the whole roster on each as
+    """Draw one group of sweep problems and run the whole roster on each as
     one batch; (final regret-in-loss, stopped) per (problem, roster entry)."""
-    make, params, master_seed, cells, roster, steps = args
-    problems, theta0, tags = zip(*(make(master_seed, cell, **params) for cell in cells))
-    result = run_batch(list(problems), np.array(theta0),
-                       _roster_rows(master_seed, problems, tags, roster, steps), steps)
+    master_seed, cells, roster, steps = args
+    specs, problem_tags, run_tags = zip(*cells)
+    problems, theta0 = _draw(master_seed, specs, problem_tags)
+    result = run_batch(problems, theta0,
+                       _roster_rows(master_seed, problems, run_tags, roster, steps), steps)
     shape = (len(cells), len(roster))
     return result.final_loss.reshape(shape), result.stopped.reshape(shape)
 
 
-def _sweep(make, params: dict, master_seed: int, cells: list[tuple],
-           roster: tuple[RosterEntry, ...], steps: int, workers: int, *, n: int, d: int):
-    """Run the roster on the (n x d) problem make(master_seed, cell) of every
-    cell, in max(workers, ceil(P / K)) contiguous groups of the P cells, K the
-    problems that fit in GROUP_BYTES; (final regret-in-loss, stopped) arrays
-    of shape (P, roster)."""
-    if not roster:
-        raise ValueError("roster must be non-empty")
+def _sweep(master_seed: int, cells: list[tuple], roster: tuple[RosterEntry, ...],
+           steps: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run the roster on the problem of every cell (spec, problem_tags,
+    run_tags): _draw draws the problem and its start from problem_tags, and
+    entry i_opt samples from run_tags (see _roster_rows).  The caller has
+    checked every spec, and all share the first one's n and d.  The P cells
+    run in max(workers, ceil(P / K)) contiguous groups, K the problems that
+    fit in GROUP_BYTES; (final regret-in-loss, stopped) arrays of shape
+    (P, roster)."""
     if not cells:
         raise ValueError("the sweep grid is empty")
+    n, d = cells[0][0].n, cells[0][0].d
     index_bytes = np.min_scalar_type(n - 1).itemsize
     per_problem = 16 * n * (d + 1) + 2 * index_bytes * len(roster) * steps
     fit = max(1, GROUP_BYTES // per_problem)
     count = min(len(cells), max(workers, math.ceil(len(cells) / fit)))
     bounds = [len(cells) * k // count for k in range(count + 1)]
-    parts = _map_cells(_sweep_group, [(make, params, master_seed, cells[a:b], roster, steps)
+    parts = _map_cells(_sweep_group, [(master_seed, cells[a:b], roster, steps)
                                       for a, b in zip(bounds, bounds[1:])], workers)
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
-def _heatmap_problem(master_seed, cell, *, lambda_max_values, cond_values, d, n):
-    i_l, i_c, i_seed = cell
-    lam_max = lambda_max_values[i_l]
-    rng = derive_rng(master_seed, 20, i_l, i_c, i_seed)
-    spec = GenSpec(n=n, d=d, lambda_max=lam_max, lambda_min=lam_max / cond_values[i_c])
-    problem = generate_least_squares(spec, rng)
-    return problem, rng.standard_normal(d), (21, i_l, i_c, i_seed)
 
 
 def sweep_heatmap(
@@ -738,29 +748,28 @@ def sweep_heatmap(
     # stable regime at cond = 1 (the per-sample step ratio scales like 10 d / n).
     d: int = 30,
     n: int = 300,
-    roster: tuple[RosterEntry, ...] = HEATMAP_ROSTER,
     workers: int = 1,
 ) -> list[dict]:
-    """Per-(optimizer, lambda_max, cond, seed) final log10 regret-in-loss;
-    diverged runs record exactly 50.  Each (lambda_max, cond, seed) problem
-    is built once and the whole roster runs on it."""
-    for lambda_max, cond in itertools.product(lambda_max_values, cond_values):
-        _checked_spec(n, d, lambda_max, cond, lambda_key="lambda_max_values",
-                      cond_key="cond_values")
+    """Per-(optimizer, lambda_max, cond, seed) final log10 regret-in-loss of
+    each HEATMAP_ROSTER entry; diverged runs record exactly 50.  Each
+    (lambda_max, cond, seed) problem is built once and the whole roster runs
+    on it."""
+    specs = [[_checked_spec(n, d, lambda_max, cond, lambda_key="lambda_max_values",
+                            cond_key="cond_values") for cond in cond_values]
+             for lambda_max in lambda_max_values]
     if seeds < 1 or steps < 1:
         raise ValueError("seeds and steps must be >= 1")
-    cells = list(itertools.product(range(len(lambda_max_values)), range(len(cond_values)),
-                                   range(seeds)))
-    params = {"lambda_max_values": lambda_max_values, "cond_values": cond_values,
-              "d": d, "n": n}
-    final, stopped = _sweep(_heatmap_problem, params, master_seed, cells, roster, steps, workers,
-                            n=n, d=d)
+    grid = list(itertools.product(range(len(lambda_max_values)), range(len(cond_values)),
+                                  range(seeds)))
+    cells = [(specs[i_l][i_c], (20, i_l, i_c, i_seed), (21, i_l, i_c, i_seed))
+             for i_l, i_c, i_seed in grid]
+    final, stopped = _sweep(master_seed, cells, HEATMAP_ROSTER, steps, workers)
     return [{
         "optimizer": entry.label, "lambda_max": lambda_max_values[i_l],
         "cond": cond_values[i_c], "seed": i_seed,
         "log10_loss": (DIVERGED_LOG10 if stopped[k, i_opt]
                        else float(np.log10(max(final[k, i_opt], LOG10_FLOOR)))),
-    } for i_opt, entry in enumerate(roster) for k, (i_l, i_c, i_seed) in enumerate(cells)]
+    } for i_opt, entry in enumerate(HEATMAP_ROSTER) for k, (i_l, i_c, i_seed) in enumerate(grid)]
 
 
 def heatmap_cell_means(records: list[dict]) -> dict[tuple[str, float, float], float]:
@@ -779,17 +788,6 @@ ANGLE_ROSTER = (
 )
 
 
-def _angle_problem(master_seed, cell, *, cond, lambda_min, n):
-    angle, i_seed = cell
-    # Common random numbers across angles: the dataset draw, starting point,
-    # and sampling stream all depend only on the seed (the rotation consumes no
-    # randomness), so varying the angle changes nothing but the eigenbasis and
-    # cross-angle comparisons are fully paired.
-    rng = derive_rng(master_seed, 10, i_seed)
-    problem = make_rotated_2d(cond, lambda_min, angle, rng, n=n)
-    return problem, rng.standard_normal(2), (11, i_seed)
-
-
 def sweep_angle(
     master_seed: int,
     *,
@@ -799,12 +797,12 @@ def sweep_angle(
     seeds: int = 30,
     steps: int = 3000,
     n: int = 300,
-    roster: tuple[RosterEntry, ...] = ANGLE_ROSTER,
     workers: int = 1,
 ) -> list[dict]:
-    """Final regret-in-loss of each optimizer on rotated 2-d problems, one row
-    per (optimizer, angle, seed); each (angle, seed) pair shares its dataset
-    and starting point across the roster."""
+    """Final regret-in-loss of each ANGLE_ROSTER entry on rotated 2-d
+    problems with eigenvalues (cond * lambda_min, lambda_min), one row per
+    (optimizer, angle, seed); each (angle, seed) pair shares its dataset and
+    starting point across the roster."""
     if seeds < 1 or steps < 1:
         raise ValueError("seeds and steps must be >= 1")
     if n < 2:
@@ -815,13 +813,19 @@ def sweep_angle(
         raise ValueError("cond must be finite and >= 1")
     if not (lambda_min >= sys.float_info.min and n * (cond * lambda_min) < np.inf):
         raise ValueError("lambda_min must be a normal float and n * cond * lambda_min finite")
-    cells = [(angle, i_seed) for angle in angles for i_seed in range(seeds)]
-    params = {"cond": cond, "lambda_min": lambda_min, "n": n}
-    final, _ = _sweep(_angle_problem, params, master_seed, cells, roster, steps, workers,
-                      n=n, d=2)
+    if not all(0.0 <= angle <= 90.0 for angle in angles):
+        raise ValueError("angle must lie in [0, 90] degrees")
+    grid = [(angle, i_seed) for angle in angles for i_seed in range(seeds)]
+    # Common random numbers across angles: the dataset draw, starting point,
+    # and sampling stream all depend only on the seed (the rotation consumes no
+    # randomness), so varying the angle changes nothing but the eigenbasis and
+    # cross-angle comparisons are fully paired.
+    cells = [(GenSpec(n=n, d=2, lambda_max=cond * lambda_min, lambda_min=lambda_min,
+                      angle_2d=angle), (10, i_seed), (11, i_seed)) for angle, i_seed in grid]
+    final, _ = _sweep(master_seed, cells, ANGLE_ROSTER, steps, workers)
     return [{"optimizer": entry.label, "angle_deg": angle, "seed": i_seed,
              "regret_in_loss": float(final[k, i_opt])}
-            for k, (angle, i_seed) in enumerate(cells) for i_opt, entry in enumerate(roster)]
+            for k, (angle, i_seed) in enumerate(grid) for i_opt, entry in enumerate(ANGLE_ROSTER)]
 
 
 def angle_means(records: list[dict]) -> dict[tuple[str, float], float]:
@@ -1051,11 +1055,8 @@ def _ridge_recursion_check(train: QuadraticProblem, steps: int) -> list[dict]:
     rows = []
     for algo, trace in zip(algos, traces):
         err = (trace.snapshots - train.theta_star) @ train.q.T  # rows: Q e_t
-        residuals = []
-        for t in range(len(trace.t)):
-            predicted = (1.0 - trace.eta_t[t] * train.lam) * err[t]
-            residuals.append(float(np.max(np.abs(err[t + 1] - predicted))))
-        rows.append({"optimizer": algo, "max_recursion_residual": float(max(residuals))})
+        residual = np.abs(err[1:] - (1.0 - trace.eta_t[:, None] * train.lam) * err[:-1]).max()
+        rows.append({"optimizer": algo, "max_recursion_residual": float(residual)})
     return rows
 
 
@@ -1278,13 +1279,9 @@ def dependence_experiment(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     spec = _checked_spec(n, d, lambda_max, cond, axis_aligned=True)
-    problems, theta0 = [], []
-    for i_seed in range(seeds):
-        rng_problem = derive_rng(master_seed, 60, i_seed)
-        problems.append(generate_least_squares(spec, rng_problem))
-        theta0.append(rng_problem.standard_normal(d))
+    problems, theta0 = _draw(master_seed, [spec] * seeds, [(60, i) for i in range(seeds)])
     tags = [(61, i_seed) for i_seed in range(seeds)]
-    traces = run_batch(problems, np.array(theta0),
+    traces = run_batch(problems, theta0,
                        _roster_rows(master_seed, problems, tags, DEPENDENCE_ROSTER, steps),
                        steps, snapshot_stride=1).traces
     return [{"optimizer": entry.label, "seed": i_seed,

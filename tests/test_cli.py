@@ -440,6 +440,10 @@ class TestMain:
         ("theorem-range", "tol=nan", "tol must be positive and finite"),
         ("theorem-range", "tol=0", "tol must be positive and finite"),
         ("theorem-range", "tol=inf", "tol must be positive and finite"),
+        ("distance-bound", "eta_values=nan", "eta_values must be positive and finite"),
+        ("theorem-range", "eta_multipliers=-1", "eta_multipliers must be positive and finite"),
+        ("trajectory", "eta=nan", "eta must be positive and finite"),
+        ("trajectory", "beta1=1", "beta1, beta2 must lie in [0, 1)"),
     ])
     def test_bad_value_is_usage_error_before_any_run(
             self, tmp_path, capsys, monkeypatch, sub, override, message):
@@ -466,6 +470,7 @@ class TestMain:
         ("heatmap", "d=1", "d = 1 admits a single eigenvalue; set cond_values=1"),
         ("heatmap", "n=5", "n < d forces a singular X.T X; set n >= d"),
         ("heatmap", "seeds=0", "seeds and steps must be >= 1"),
+        ("angle", "angles=0,100", "angle must lie in [0, 90] degrees"),
     ])
     def test_bad_sweep_value_is_usage_error_before_any_batch(
             self, tmp_path, capsys, monkeypatch, sub, override, message):
@@ -473,6 +478,8 @@ class TestMain:
             raise AssertionError("a batch started before the inputs were checked")
 
         monkeypatch.setattr(experiments, "run_batch", no_batch)
+        # groups of a few problems each, so a late bad cell would follow earlier batches
+        monkeypatch.setattr(experiments, "GROUP_BYTES", 20_000)
         code = main([sub, "--seed", "1", "--out", str(tmp_path), "--workers", "1",
                      "--set", override])
         assert code == 2

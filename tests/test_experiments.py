@@ -534,9 +534,12 @@ class TestBatchEngine:
     def test_heatmap_runs_match_the_reference_loop(self, seed, roster, grid):
         cells = [(i_l, i_c, i_seed) for i_l in range(len(grid["lambda_max_values"]))
                  for i_c in range(len(grid["cond_values"])) for i_seed in range(grid["seeds"])]
-        params = {k: grid[k] for k in ("lambda_max_values", "cond_values", "d", "n")}
-        final, stopped = experiments._sweep(experiments._heatmap_problem, params, seed, cells,
-                                            roster, grid["steps"], 1, n=grid["n"], d=grid["d"])
+        specs = [GenSpec(n=grid["n"], d=grid["d"], lambda_max=grid["lambda_max_values"][i_l],
+                         lambda_min=grid["lambda_max_values"][i_l] / grid["cond_values"][i_c])
+                 for i_l, i_c, _ in cells]
+        final, stopped = experiments._sweep(
+            seed, [(spec, (20, *cell), (21, *cell)) for spec, cell in zip(specs, cells)],
+            roster, grid["steps"], 1)
         early = 0
         for k, (i_l, i_c, i_seed) in enumerate(cells):
             for i_opt in range(len(roster)):
@@ -551,9 +554,10 @@ class TestBatchEngine:
     def test_angle_runs_match_the_reference_loop(self):
         angles, seeds, steps = (0.0, 20.0, 45.0), 3, 400
         cells = [(angle, i_seed) for angle in angles for i_seed in range(seeds)]
-        params = {"cond": 1e4, "lambda_min": 1.0, "n": 300}
-        final, stopped = experiments._sweep(experiments._angle_problem, params, 7, cells,
-                                            ANGLE_ROSTER, steps, 1, n=300, d=2)
+        final, stopped = experiments._sweep(
+            7, [(GenSpec(n=300, d=2, lambda_max=1e4, lambda_min=1.0, angle_2d=angle),
+                 (10, i_seed), (11, i_seed)) for angle, i_seed in cells],
+            ANGLE_ROSTER, steps, 1)
         for k, (angle, i_seed) in enumerate(cells):
             for i_opt in range(len(ANGLE_ROSTER)):
                 trace = reference_angle_run(7, 1e4, 1.0, 300, steps, ANGLE_ROSTER, angle,
@@ -924,8 +928,8 @@ class TestSweeps:
 
     def test_heatmap_divergence_records_50(self):
         records = sweep_heatmap(0, lambda_max_values=(1e6,), cond_values=(1.0,), seeds=1,
-                                steps=400, d=4, n=40,
-                                roster=(RosterEntry("sgd_fixed", "sgd", 0.01),))
+                                steps=400, d=4, n=40)
+        assert records[0]["optimizer"] == "sgd_fixed"
         assert records[0]["log10_loss"] == 50.0
 
     def test_angle_sweep_shares_problem_across_roster(self):
