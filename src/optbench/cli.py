@@ -223,18 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optbench",
         description="Synthetic least-squares optimizer benchmarks and theorem-level checks.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--preset", default=None)
-        sp.add_argument("--seed", type=int, default=None,
+    parser.add_argument("subcommand", choices=COMMANDS)
+    parser.add_argument("--preset", default=None)
+    parser.add_argument("--seed", type=int, default=None,
                         help="master seed (required; non-negative)")
-        sp.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=int, default=None,
                         help="parallel workers (default: available cores)")
-        sp.add_argument("--out", default=None, help="output directory (required)")
-        sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        dest="overrides")
-        sp.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--out", default=None, help="output directory (required)")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", dest="overrides")
+    parser.add_argument("--config", default=None, help="JSON config file")
     return parser
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package, not in the first run
 
 from .linalg import haar_orthogonal, project_box, sym_eigh
-from .optim import Optimizer, OptimizerConfig
+from .optim import ALGORITHMS, Optimizer, OptimizerConfig
 from .problems import (
     ONLINE_KINDS,
     RANK_CUTOFF,
@@ -34,15 +34,17 @@ from .problems import (
     problem_from_data,
     regret,
     ridge_solution,
-    sample_gradient,
 )
 
 # Divergence is reported as log10 loss = 50.
 LOSS_CAP = 1e50
 # A screened run gets its loss computed, exactly, only when its bound
-# 0.5 (||X||_F ||theta|| + ||y||)^2 reaches this; the margin below LOSS_CAP
-# covers the bound's rounding, so a bound under it proves the loss under the cap.
+# 0.5 (||X||_F ||theta|| + ||y||)^2 may reach this, tested as a limit on
+# theta . theta (see _screen_limits); the margin below LOSS_CAP covers the
+# rounding, so a bound under it proves the loss under the cap.
 SCREEN_CAP = LOSS_CAP / 2
+# Sampled rows gather their data rows this many steps at a time.
+CHUNK_STEPS = 16
 DIVERGED_LOG10 = 50.0
 LOG10_FLOOR = 1e-30
 
@@ -152,6 +154,26 @@ class BatchResult:
     traces: list[Trace] | None
 
 
+def _parts(opts: list[Optimizer]) -> list[tuple[Optimizer, slice]]:
+    """Each optimizer that still has rows, with the slice of the live rows it steps."""
+    ends = itertools.accumulate(len(opt.eta) for opt in opts)
+    return [(opt, slice(end - len(opt.eta), end)) for opt, end in zip(opts, ends) if len(opt.eta)]
+
+
+def _screen_limits(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The screen's limit on theta . theta for each problem of the stacked
+    (P, n, d) xs and (P, n) ys: lim = ((sqrt(2 SCREEN_CAP) - ||y||) / ||X||_F)^2.
+    theta . theta < lim gives ||X||_F ||theta|| + ||y|| < sqrt(2 SCREEN_CAP),
+    so the loss 0.5 ||X theta - y||^2 <= 0.5 (||X||_F ||theta|| + ||y||)^2 is
+    under SCREEN_CAP; the factor 2 left below LOSS_CAP covers the rounding of
+    lim, of theta . theta and of the loss.  A NaN or negative root makes lim 0,
+    and a NaN norm makes it NaN: no theta passes either, so every step of the
+    problem's rows gets the exact loss."""
+    with np.errstate(all="ignore"):
+        root = np.sqrt(2 * SCREEN_CAP) - np.linalg.norm(ys, axis=1)
+        return np.where(root > 0, (root / np.linalg.norm(xs, axis=(1, 2))) ** 2, 0.0)
+
+
 def run_batch(
     problems: list[QuadraticProblem],
     theta0: np.ndarray,
@@ -172,7 +194,9 @@ def run_batch(
     2 / lambda_max threshold applies directly; the live rows take it as one
     stacked product, which rounds as full_gradient does on each row.  The
     rows of a batch all carry indices or none do.  Rows whose configs differ
-    only in eta step as one Optimizer; rows of a problem share its data.
+    only in eta step as one Optimizer, which updates its slice of the (B, d)
+    parameters in place; rows of a problem share its data.  Sampled rows
+    gather their x_i and y_i CHUNK_STEPS steps at a time, with one index.
 
     One predicate decides every stop: a row stops, and leaves the work,
     after the step whose gradient or updated parameters hold a non-finite
@@ -180,7 +204,12 @@ def run_batch(
     the ones that step produced.  Full-gradient and recorded rows form
     r = X theta - y once per step: their loss 0.5 r . r (stop test, record
     and final loss) and a full-gradient row's next gradient X.T r come from
-    it.  Sampled unrecorded rows are screened instead (see SCREEN_CAP).  With
+    it.  Sampled unrecorded rows are screened instead: a row whose
+    theta . theta is under its problem's limit (see _screen_limits) has its loss
+    under the cap, and only a row at or over it gets its exact full_loss.
+    Each step first tests all rows at once (every gradient finite, and every
+    loss under LOSS_CAP or every theta . theta under its limit); only when
+    that fails does the per-row predicate run.  With
     record, each row's Trace holds its per-step regret-in-loss (LOSS_CAP at
     the step that stops it), eta_t and gradient norm; with snapshot_stride
     >= 1 it holds theta0 and the parameters every snapshot_stride steps.
@@ -205,15 +234,15 @@ def run_batch(
     floors = np.array([_loss_floor(p) for p in problems])
     xs = np.stack([p.x for p in problems])
     ys = np.stack([p.y for p in problems])
-    x_norm, y_norm = np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=1)
     blocks: dict[tuple, list[int]] = {}
     for i, row in enumerate(rows):
         blocks.setdefault((row.algo, astuple(replace(row.config, eta=1.0))), []).append(i)
     opts = [Optimizer(rows[m[0]].algo, d, [rows[i].config for i in m]) for m in blocks.values()]
-    sizes = [len(opt.eta) for opt in opts]
+    parts = _parts(opts)
     ids = np.array([i for m in blocks.values() for i in m])   # the row of each live run
     pid = np.array([rows[i].problem for i in ids])
     theta = np.asarray(theta0, dtype=float)[pid]
+    lim = _screen_limits(xs, ys)[pid]
     final = np.full(len(rows), LOSS_CAP)
     stopped = np.ones(len(rows), dtype=bool)
     final_theta = np.empty((len(rows), d))
@@ -231,42 +260,50 @@ def run_batch(
         for t in range(steps):
             if samples is None:   # X.T (X theta - y), from the residual at this theta
                 g = (np.swapaxes(x, 1, 2) @ r[:, :, None])[:, :, 0]
-            else:
-                idx = samples[t, ids]
-                g = sample_gradient(xs[pid, idx], ys[pid, idx], theta, n) * inv_n
-            start = 0
-            for opt, size in zip(opts, sizes):
-                if size:
-                    part = slice(start, start + size)
-                    theta[part] = opt.update(theta[part], g[part])
-                    start += size
-            stop = ~(np.isfinite(g).all(axis=1) & np.isfinite(theta).all(axis=1))
+            else:   # sample_gradient's n * x_i (x_i . theta - y_i), in its rounding
+                if (j := t % CHUNK_STEPS) == 0:
+                    idx = samples[t:t + CHUNK_STEPS, ids]
+                    xc, yc = xs[pid, idx], ys[pid, idx]   # (chunk, rows, d), (chunk, rows)
+                    nxc = n * xc
+                g = nxc[j] * (np.vecdot(xc[j], theta) - yc[j])[:, None] * inv_n
+            for opt, part in parts:
+                opt.update(theta[part], g[part])
             if exact:
                 r = (x @ theta[:, :, None])[:, :, 0] - y
                 loss = np.maximum(0.5 * np.vecdot(r, r) - floors[pid], 0.0)
-                stop |= ~(loss < LOSS_CAP)   # non-finite or at least the cap
+                clear = np.isfinite(g).all() and (loss < LOSS_CAP).all()
             else:
-                reach = x_norm[pid] * np.sqrt(np.vecdot(theta, theta)) + y_norm[pid]
-                for i in np.flatnonzero(~(0.5 * reach * reach < SCREEN_CAP) & ~stop):
-                    stop[i] = not full_loss(problems[pid[i]], theta[i]) - floors[pid[i]] < LOSS_CAP
+                norm2 = np.vecdot(theta, theta)
+                clear = np.isfinite(g).all() and (norm2 < lim).all()
+            if not clear:   # the per-row stop predicate
+                stop = ~(np.isfinite(g).all(axis=1) & np.isfinite(theta).all(axis=1))
+                if exact:
+                    stop |= ~(loss < LOSS_CAP)   # non-finite or at least the cap
+                else:
+                    for i in np.flatnonzero(~(norm2 < lim) & ~stop):
+                        p = pid[i]
+                        stop[i] = not full_loss(problems[p], theta[i]) - floors[p] < LOSS_CAP
             if record:
-                loss[stop] = LOSS_CAP
+                if not clear:
+                    loss[stop] = LOSS_CAP
                 grad_norm = np.sqrt(np.vecdot(g, g))
                 history[:, t, ids] = (
                     loss, np.concatenate([opt.last_eta_t[:, 0] for opt in opts]),
                     np.where(np.isfinite(grad_norm), grad_norm, np.inf))
             if snapshot_stride and (t + 1) % snapshot_stride == 0:
                 snaps[(t + 1) // snapshot_stride, ids] = theta
-            if stop.any():
+            if not clear and stop.any():
                 made[ids[stop]] = t + 1
                 final_theta[ids[stop]] = theta[stop]
                 keep = ~stop
-                for opt, part in zip(opts, np.split(keep, np.cumsum(sizes)[:-1])):
-                    opt.select(part)
-                sizes = [len(opt.eta) for opt in opts]
-                ids, pid, theta = ids[keep], pid[keep], theta[keep]
+                for opt, part in parts:
+                    opt.select(keep[part])
+                parts = _parts(opts)
+                ids, pid, theta, lim = ids[keep], pid[keep], theta[keep], lim[keep]
                 if exact:
                     x, y, r, loss = x[keep], y[keep], r[keep], loss[keep]
+                if samples is not None:
+                    xc, yc, nxc = xc[:, keep], yc[:, keep], nxc[:, keep]
                 if not ids.size:
                     break
     final[ids] = loss if exact else np.maximum(
@@ -304,8 +341,11 @@ def trajectory_experiment(
     per step; it samples unless stochastic is false."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    algos = [a for a in ALGORITHMS if a != "adabound"]   # adabound needs keys trajectory lacks
+    if algo not in algos:
+        raise ValueError(f"algo must be one of {', '.join(algos)}")
     config = OptimizerConfig(eta=eta, beta1=beta1)
-    Optimizer(algo, d, config)   # checks algo and config before the problem is drawn
+    Optimizer(algo, d, config)   # checks the config before the problem is drawn
     spec = _checked_spec(n, d, lambda_max, cond)
     problem = generate_least_squares(spec, derive_rng(master_seed, 90))
     rng = derive_rng(master_seed, 91)
@@ -657,12 +697,13 @@ HEATMAP_ROSTER = (
 
 
 # Memory budget of one sweep group: each problem's X and y twice (as built,
-# and in the batch's stacked (P, n, d) and (P, n) arrays), and each run's
-# sample indices twice (as drawn, and in the batch's (steps, B) array).  The
-# problems' eigenfactors (d x d), norms and floors and the runs' (B, d)
-# optimizer state are not counted.  At the paper-fig3 size (d = 100, n = 300,
-# 3000 steps, 4 optimizers) a problem takes about 0.53 MB of it; a desk angle
-# problem about 0.05 MB.
+# and in the batch's stacked (P, n, d) and (P, n) arrays), each run's sample
+# indices twice (as drawn, and in the batch's (steps, B) array), and each
+# run's gathered chunk (CHUNK_STEPS sampled rows x_i and n x_i, and their
+# y_i).  The problems' eigenfactors (d x d), norms and floors and the runs'
+# (B, d) optimizer state are not counted.  At the paper-fig3 size (d = 100,
+# n = 300, 3000 steps, 4 optimizers) a problem takes about 0.64 MB of it; a
+# desk angle problem about 0.05 MB.
 GROUP_BYTES = 64 * 2**20
 
 
@@ -728,7 +769,8 @@ def _sweep(master_seed: int, cells: list[tuple], roster: tuple[RosterEntry, ...]
         raise ValueError("the sweep grid is empty")
     n, d = cells[0][0].n, cells[0][0].d
     index_bytes = np.min_scalar_type(n - 1).itemsize
-    per_problem = 16 * n * (d + 1) + 2 * index_bytes * len(roster) * steps
+    per_run = 2 * index_bytes * steps + 8 * CHUNK_STEPS * (2 * d + 1)
+    per_problem = 16 * n * (d + 1) + per_run * len(roster)
     fit = max(1, GROUP_BYTES // per_problem)
     count = min(len(cells), max(workers, math.ceil(len(cells) / fit)))
     bounds = [len(cells) * k // count for k in range(count + 1)]

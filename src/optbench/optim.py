@@ -6,7 +6,9 @@ gradients, one row per run, and returns the updated parameters.  The rows may
 differ only in ``eta``, and every row is updated exactly as a batch of that
 row alone would be, bit for bit.  A single ``OptimizerConfig`` makes a
 one-row batch, whose ``step`` also takes and returns (dim,) vectors.  The
-rules are written once, over the row axis.
+rules are written once, over the row axis.  ``update(theta, g)``, the batch
+engine's call, steps theta and the moments in place; ``step`` does not: it
+steps a copy of theta and leaves its inputs unchanged.
 
 The rules differ in three choices: a decaying-sum (sgd, adasgd, adasgdmax) or
 (1 - beta1)-weighted exponential first moment m; no, a per-coordinate or a
@@ -106,33 +108,37 @@ class Optimizer:
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The parameters after one step from theta with gradient g: (B, dim)
-        arrays, or (dim,) vectors for a one-row optimizer.  Any other shape
-        raises ValueError and leaves the state as it was."""
-        theta, g = np.asarray(theta, dtype=float), np.asarray(g, dtype=float)
+        arrays, or (dim,) vectors for a one-row optimizer.  theta and g are
+        left as they were.  Any other shape raises ValueError and leaves the
+        state as it was."""
+        theta, g = np.array(theta, dtype=float), np.asarray(g, dtype=float)
         rows = (len(self.eta), self.dim)
         shapes = (rows, (self.dim,)) if rows[0] == 1 else (rows,)
         if theta.shape not in shapes or g.shape != theta.shape:
             raise ValueError(f"theta and g must share one shape of {shapes}, "
                              f"got {theta.shape} and {g.shape}")
-        return self.update(theta.reshape(rows), g.reshape(rows)).reshape(theta.shape)
+        self.update(theta.reshape(rows), g.reshape(rows))
+        return theta
 
     def update(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """step() for (B, dim) float arrays, as the batch engine calls it."""
+        """step() for (B, dim) float arrays, as the batch engine calls it:
+        theta (the engine's view of its rows) is stepped in place and
+        returned, and m, v and v_hat are updated in place."""
         self.t += 1
-        c, algo, eta = self.config, self.algo, self.eta
-        if algo in _DECAYING_SUM:
-            self.m = c.beta1 * self.m + g
-        else:
-            self.m = c.beta1 * self.m + (1.0 - c.beta1) * g
+        c, algo, eta, m, v = self.config, self.algo, self.eta, self.m, self.v
+        m *= c.beta1
+        m += g if algo in _DECAYING_SUM else (1.0 - c.beta1) * g
         if algo == "sgd":
             self.last_eta_t = eta
-            return theta - eta * self.m
+            theta -= eta * m
+            return theta
         bc2 = 1.0 - c.beta2 ** self.t
+        v *= c.beta2
         if algo in ("adasgd", "adasgdmax"):
-            self.v = c.beta2 * self.v + (1.0 - c.beta2) * np.vecdot(g, g)[:, None]
-            scale = self.v / bc2
+            v += (1.0 - c.beta2) * np.vecdot(g, g)[:, None]
+            scale = v / bc2
             if algo == "adasgdmax":
-                self.v_hat = scale = np.maximum(self.v_hat, scale)
+                scale = np.maximum(self.v_hat, scale, out=self.v_hat)
             # moving is False while the second moment is exactly zero (or NaN):
             # the update is 0/0, so the rate is 0 (the true step is zero anyway),
             # 1 stands in for the zero scale and theta stays where it is.  When
@@ -145,20 +151,23 @@ class Optimizer:
                 self.last_eta_t = eta / np.sqrt(scale / self.dim)
             else:
                 self.last_eta_t = moving * eta / np.sqrt((scale + (1.0 - moving)) / self.dim)
-            return theta - self.last_eta_t * self.m
-        self.v = c.beta2 * self.v + (1.0 - c.beta2) * g * g
+            theta -= self.last_eta_t * m
+            return theta
+        v += (1.0 - c.beta2) * g * g
         bc1 = 1.0 - c.beta1 ** self.t
         if algo == "adabound":
-            rate = eta / (np.sqrt(self.v / bc2) + c.epsilon)
+            rate = eta / (np.sqrt(v / bc2) + c.epsilon)
             lower = c.eta_sgd * (1.0 - 1.0 / (c.gamma * self.t + 1.0))
             upper = c.eta_sgd * (1.0 + 1.0 / (c.gamma * self.t))
             rate = np.clip(rate, lower, upper)
-            return theta - rate * (self.m / bc1)
+            theta -= rate * (m / bc1)
+            return theta
         if algo == "amsgrad":
-            self.v_hat = np.maximum(self.v_hat, self.v / bc2)
+            np.maximum(self.v_hat, v / bc2, out=self.v_hat)
             # adam with v replaced by the held maximum (expressed in the same
             # uncorrected units, so the two coincide while v/bc2 rises)
             denom = np.sqrt(self.v_hat * bc2) + c.epsilon
         else:
-            denom = np.sqrt(self.v) + c.epsilon
-        return theta - eta * self.m / denom * (np.sqrt(bc2) / bc1)
+            denom = np.sqrt(v) + c.epsilon
+        theta -= eta * m / denom * (math.sqrt(bc2) / bc1)   # math.sqrt rounds as np.sqrt
+        return theta

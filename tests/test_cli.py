@@ -406,6 +406,7 @@ class TestMain:
                       "and pool_n * lambda_max finite")
     STRIDE = "need 1 <= snapshot_stride <= steps"
     MINNORM_SPECTRUM = "1e-06 * lambda_max must be a normal float and n * lambda_max finite"
+    TRAJECTORY_ALGO = "algo must be one of sgd, adam, amsgrad, adasgd, adasgdmax"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sub,override,message", [
@@ -444,6 +445,8 @@ class TestMain:
         ("theorem-range", "eta_multipliers=-1", "eta_multipliers must be positive and finite"),
         ("trajectory", "eta=nan", "eta must be positive and finite"),
         ("trajectory", "beta1=1", "beta1, beta2 must lie in [0, 1)"),
+        ("trajectory", "algo=adabound", TRAJECTORY_ALGO),
+        ("trajectory", "algo=bogus", TRAJECTORY_ALGO),
     ])
     def test_bad_value_is_usage_error_before_any_run(
             self, tmp_path, capsys, monkeypatch, sub, override, message):

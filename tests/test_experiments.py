@@ -53,6 +53,7 @@ from optbench.problems import (
     generate_least_squares,
     lstsq_min_norm,
     make_rotated_2d,
+    problem_from_data,
 )
 
 EPS = np.finfo(float).eps
@@ -833,6 +834,56 @@ class TestBatchStopRule:
             assert not trace.diverged and len(trace.t) == steps
             assert 1e20 < trace.final_loss < LOSS_CAP
             assert result.final_loss[i] == trace.final_loss
+
+
+class Replay:
+    """An rng stand-in for reference_trajectory: hands out the given sample
+    indices, one per call."""
+
+    def __init__(self, indices):
+        self.indices = iter(indices)
+
+    def integers(self, n):
+        return next(self.indices)
+
+
+class TestScreenedStops:
+    """Screened rows stop at the step the reference loop stops them, wherever
+    that step falls in a gathered chunk."""
+
+    def test_rows_stop_at_the_chunk_boundaries(self):
+        # X = [e1; e2; e1; e2] and y = 0, so the loss is theta . theta.  Without
+        # momentum, eta = 1 + 1e5 multiplies theta_1 by about -1e5 on each draw
+        # of row 0 or 2, so a start of 10^(27.5 - 5 s) takes the loss over
+        # LOSS_CAP first at step s.  The null row keeps a 1e30 component along
+        # the zero column of its problem: over its limit on every step, it gets
+        # the exact loss every step and never stops.
+        k = experiments.CHUNK_STEPS
+        steps = 2 * k + 5
+        targets = [1, k - 1, k, k + 1, steps]
+        x = np.tile(np.eye(2), (2, 1))
+        grow, null = problem_from_data(x, np.zeros(4)), problem_from_data(x * [1.0, 0.0],
+                                                                           np.zeros(4))
+        probs = [grow] * len(targets) + [grow, null]
+        theta0 = np.array([[10.0 ** (27.5 - 5 * s), 1.0] for s in targets]
+                          + [[1.0, 1.0], [1.0, 1e30]])
+        rng = derive_rng(0, 4)
+        rows = [BatchRow(i, "sgd", OptimizerConfig(eta=1e5 + 1.0, beta1=0.0),
+                         2 * rng.integers(2, size=steps)) for i in range(len(targets))]
+        rows += [BatchRow(i, "sgd", OptimizerConfig(eta=0.5, beta1=0.0),
+                          rng.integers(4, size=steps)) for i in range(len(targets), len(probs))]
+        lim = experiments._screen_limits(np.stack([null.x]), np.stack([null.y]))[0]
+        assert theta0[-1] @ theta0[-1] > lim
+        result = run_batch(probs, theta0, rows, steps, snapshot_stride=1)
+        for i, row in enumerate(rows):
+            ref = reference_trajectory(probs[i], "sgd", row.config, steps, theta0[i],
+                                       Replay(row.indices))
+            assert result.final_loss[i] == ref.final_loss
+            assert result.stopped[i] == ref.diverged
+            assert len(result.traces[i].t) == len(ref.t)
+            assert result.theta[i].tobytes() == ref.final_theta.tobytes()
+        assert [len(trace.t) for trace in result.traces] == targets + [steps, steps]
+        assert result.stopped.tolist() == [True] * len(targets) + [False, False]
 
 
 class TestExactRows:

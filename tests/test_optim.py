@@ -268,6 +268,20 @@ class TestSharedBehavior:
             assert opt.t == 1
             assert all(same_bits(getattr(opt, k), v) for k, v in before.items())
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_step_leaves_its_inputs_unchanged(self, algo):
+        # update steps theta in place; step steps a copy
+        c = cfg(eta_sgd=0.1, gamma=1e-3) if algo == "adabound" else cfg()
+        rng = np.random.default_rng(5)
+        for opt, shape in ((Optimizer(algo, 3, c), (3,)),
+                           (Optimizer(algo, 3, [c, replace(c, eta=0.2)]), (2, 3))):
+            theta, g = rng.standard_normal(shape), rng.standard_normal(shape)
+            before = theta.tobytes(), g.tobytes()
+            for _ in range(3):
+                new = opt.step(theta, g)
+                assert new.shape == shape and not np.shares_memory(new, theta)
+                assert (theta.tobytes(), g.tobytes()) == before
+
     @pytest.mark.parametrize("algo", ["adam", "amsgrad", "adabound"])
     def test_per_coordinate_rates_positive(self, algo):
         c = cfg(eta_sgd=0.1, gamma=1e-3) if algo == "adabound" else cfg()

@@ -223,6 +223,26 @@ def test_loss_is_within_the_norm_bound(spec, seed, log_scale, direction):
     assert full_loss(p, theta) <= 0.5 * reach * reach * (1 + 1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 12), log_lambda=st.floats(-3.0, 300.0),
+       ratio=st.floats(0.0, 1.0), log_y=st.floats(-3.0, 26.0), scale=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_theta_under_the_screen_limit_has_its_loss_under_the_cap(d, n, log_lambda, ratio,
+                                                                 log_y, scale, seed):
+    # The batch engine skips the exact loss of a sampled row while its
+    # theta . theta is under its problem's limit; scales reach the limit itself.
+    lambda_max = 10.0 ** log_lambda
+    lambda_min = lambda_max if d == 1 else 0.0 if n < d else lambda_max * ratio
+    spec = GenSpec(n=n, d=d, lambda_max=lambda_max, lambda_min=lambda_min,
+                   y_std=10.0 ** log_y)
+    p = generate_from_seed(spec, seed)
+    lim = experiments._screen_limits(p.x[None], p.y[None])[0]
+    theta = np.random.default_rng(seed).standard_normal(d)
+    theta *= np.sqrt(lim) * scale / np.linalg.norm(theta)
+    assume(theta @ theta < lim)
+    assert full_loss(p, theta) < experiments.LOSS_CAP
+
+
 # Tiny sizes for the real runners; the fuzz below overrides some of these keys.
 TINY = {
     "align-mc": {"dims": "2,3", "samples_per_dim": "20"},
