@@ -16,7 +16,6 @@ from .problems import (
     generate_least_squares,
     logistic_oracle,
     make_online_problem,
-    make_rotated_2d,
     min_norm_solution,
     problem_from_data,
     regret,
@@ -44,7 +43,6 @@ __all__ = [
     "jacobi_eigh",
     "logistic_oracle",
     "make_online_problem",
-    "make_rotated_2d",
     "min_norm_solution",
     "problem_from_data",
     "project_box",

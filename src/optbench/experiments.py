@@ -87,19 +87,19 @@ class Trace:
     """Per-iteration record of one optimizer run: one entry per step made in
     t, loss, eta_t and grad_norm (None for a run_batch row that was not asked
     to record them), and theta0 plus the parameters every snapshot stride
-    steps in snapshots (None without a stride)."""
+    steps in snapshots (None without a stride).  loss and final_loss are the
+    regret-in-loss 0.5 ||X (theta - theta*)||^2, or the raw loss
+    0.5 ||X theta - y||^2 when the problem has no unique optimum; LOSS_CAP
+    once the run stops."""
 
     t: np.ndarray
-    loss: np.ndarray | None       # regret-in-loss when the optimum exists, else raw loss
+    loss: np.ndarray | None
     eta_t: np.ndarray | None
     grad_norm: np.ndarray | None
     snapshots: np.ndarray | None
     diverged: bool
     final_theta: np.ndarray
-
-    @property
-    def final_loss(self) -> float:
-        return float(self.loss[-1])
+    final_loss: float
 
 
 def run_trajectory(
@@ -126,9 +126,15 @@ def run_trajectory(
                      snapshot_stride=snapshot_stride).traces[0]
 
 
-def _loss_floor(problem: QuadraticProblem) -> float:
-    """The optimum's loss, or 0 when the problem has no unique optimum."""
-    return full_loss(problem, problem.theta_star) if problem.theta_star is not None else 0.0
+def _regret(x: np.ndarray, theta: np.ndarray, centre: np.ndarray,
+            offset: np.ndarray) -> np.ndarray:
+    """0.5 ||X (theta - centre) - offset||^2 for each row of the (B, d) theta;
+    X is the (n, d) x, or x[i] for row i of a (B, n, d) x.  With centre
+    theta* and offset 0 this is the regret-in-loss f(theta) - f(theta*),
+    exact because X.T (X theta* - y) = 0; with centre 0 and offset y it is
+    the raw loss."""
+    u = (x @ (theta - centre)[:, :, None])[:, :, 0] - offset
+    return 0.5 * np.vecdot(u, u)
 
 
 @dataclass(frozen=True)
@@ -145,8 +151,10 @@ class BatchRow:
 @dataclass
 class BatchResult:
     """run_batch's outcome, one entry per row: the final regret-in-loss
-    (LOSS_CAP for a stopped row), the stopped flag, the final parameters (a
-    stopped row's where it stopped) and, when the batch recorded, its Trace."""
+    0.5 ||X (theta - theta*)||^2, or the raw loss when the problem has no
+    unique optimum (LOSS_CAP for a stopped row), the stopped flag, the final
+    parameters (a stopped row's where it stopped) and, when the batch
+    recorded or took snapshots, its Trace."""
 
     final_loss: np.ndarray
     stopped: np.ndarray
@@ -202,18 +210,22 @@ def run_batch(
     after the step whose gradient or updated parameters hold a non-finite
     value or whose loss is not below LOSS_CAP, and its final parameters are
     the ones that step produced.  Full-gradient and recorded rows form
-    r = X theta - y once per step: their loss 0.5 r . r (stop test, record
-    and final loss) and a full-gradient row's next gradient X.T r come from
-    it.  Sampled unrecorded rows are screened instead: a row whose
-    theta . theta is under its problem's limit (see _screen_limits) has its loss
-    under the cap, and only a row at or over it gets its exact full_loss.
-    Each step first tests all rows at once (every gradient finite, and every
-    loss under LOSS_CAP or every theta . theta under its limit); only when
-    that fails does the per-row predicate run.  With
-    record, each row's Trace holds its per-step regret-in-loss (LOSS_CAP at
-    the step that stops it), eta_t and gradient norm; with snapshot_stride
-    >= 1 it holds theta0 and the parameters every snapshot_stride steps.
-    Without either, nothing is kept per step.
+    r = X theta - y once per step: their loss 0.5 r . r (the stop test) and
+    a full-gradient row's next gradient X.T r come from it.  Sampled
+    unrecorded rows are screened instead: a row whose theta . theta is under
+    its problem's limit (see _screen_limits) has its loss under the cap, and
+    only a row at or over it gets its exact full_loss.  Each step first tests
+    all rows at once (every gradient finite, and every loss under LOSS_CAP or
+    every theta . theta under its limit); only when that fails does the
+    per-row predicate run.
+
+    What a row reports is its regret-in-loss 0.5 ||X (theta - theta*)||^2, or
+    its raw loss when its problem has no unique optimum (see _regret): every
+    live row's final loss, formed once at the end problem by problem, and
+    with record its per-step loss (LOSS_CAP at the step that stops it) in
+    its Trace, beside eta_t and the gradient norm.  With snapshot_stride
+    >= 1 the Trace holds theta0 and the parameters every snapshot_stride
+    steps.  Without either, nothing is kept per step.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -231,9 +243,11 @@ def run_batch(
         samples = np.stack([row.indices[:steps] for row in rows], axis=1)   # (steps, rows)
         if samples.min() < 0 or samples.max() >= n:
             raise ValueError(f"sample indices must lie in [0, {n})")
-    floors = np.array([_loss_floor(p) for p in problems])
     xs = np.stack([p.x for p in problems])
     ys = np.stack([p.y for p in problems])
+    # _regret's centre and offset: (theta*, 0), or (0, y) without an optimum
+    centres = np.stack([np.zeros(d) if p.theta_star is None else p.theta_star for p in problems])
+    offsets = np.stack([p.y if p.theta_star is None else np.zeros(n) for p in problems])
     blocks: dict[tuple, list[int]] = {}
     for i, row in enumerate(rows):
         blocks.setdefault((row.algo, astuple(replace(row.config, eta=1.0))), []).append(i)
@@ -254,8 +268,8 @@ def run_batch(
         snaps[0, ids] = theta
     inv_n = 1.0 / n
     with np.errstate(all="ignore"):   # non-finite values stop their runs below
-        if exact := samples is None or record:   # each live row's X, y and X theta - y
-            x, y = xs[pid], ys[pid]
+        if exact := samples is None or record:   # each live row's data and X theta - y
+            x, y, centre, offset = xs[pid], ys[pid], centres[pid], offsets[pid]
             r = (x @ theta[:, :, None])[:, :, 0] - y
         for t in range(steps):
             if samples is None:   # X.T (X theta - y), from the residual at this theta
@@ -270,7 +284,7 @@ def run_batch(
                 opt.update(theta[part], g[part])
             if exact:
                 r = (x @ theta[:, :, None])[:, :, 0] - y
-                loss = np.maximum(0.5 * np.vecdot(r, r) - floors[pid], 0.0)
+                loss = 0.5 * np.vecdot(r, r)
                 clear = np.isfinite(g).all() and (loss < LOSS_CAP).all()
             else:
                 norm2 = np.vecdot(theta, theta)
@@ -281,14 +295,14 @@ def run_batch(
                     stop |= ~(loss < LOSS_CAP)   # non-finite or at least the cap
                 else:
                     for i in np.flatnonzero(~(norm2 < lim) & ~stop):
-                        p = pid[i]
-                        stop[i] = not full_loss(problems[p], theta[i]) - floors[p] < LOSS_CAP
+                        stop[i] = not full_loss(problems[pid[i]], theta[i]) < LOSS_CAP
             if record:
+                regret = _regret(x, theta, centre, offset)
                 if not clear:
-                    loss[stop] = LOSS_CAP
+                    regret[stop] = LOSS_CAP
                 grad_norm = np.sqrt(np.vecdot(g, g))
                 history[:, t, ids] = (
-                    loss, np.concatenate([opt.last_eta_t[:, 0] for opt in opts]),
+                    regret, np.concatenate([opt.last_eta_t[:, 0] for opt in opts]),
                     np.where(np.isfinite(grad_norm), grad_norm, np.inf))
             if snapshot_stride and (t + 1) % snapshot_stride == 0:
                 snaps[(t + 1) // snapshot_stride, ids] = theta
@@ -301,13 +315,14 @@ def run_batch(
                 parts = _parts(opts)
                 ids, pid, theta, lim = ids[keep], pid[keep], theta[keep], lim[keep]
                 if exact:
-                    x, y, r, loss = x[keep], y[keep], r[keep], loss[keep]
+                    x, y, r, centre, offset = x[keep], y[keep], r[keep], centre[keep], offset[keep]
                 if samples is not None:
                     xc, yc, nxc = xc[:, keep], yc[:, keep], nxc[:, keep]
                 if not ids.size:
                     break
-    final[ids] = loss if exact else np.maximum(
-        [full_loss(problems[p], th) for p, th in zip(pid, theta)] - floors[pid], 0.0)
+    for p in set(pid.tolist()):   # one problem's X at a time, never a (B, n, d) gather
+        live = pid == p
+        final[ids[live]] = _regret(xs[p], theta[live], centres[p], offsets[p])
     stopped[ids] = False
     final_theta[ids] = theta
     traces = None
@@ -320,6 +335,7 @@ def run_batch(
             snapshots=snaps[:1 + k // snapshot_stride, i] if snapshot_stride else None,
             diverged=bool(stopped[i]),
             final_theta=final_theta[i],
+            final_loss=float(final[i]),
         ) for i, k in enumerate(made)]
     return BatchResult(final, stopped, final_theta, traces)
 
@@ -700,10 +716,11 @@ HEATMAP_ROSTER = (
 # and in the batch's stacked (P, n, d) and (P, n) arrays), each run's sample
 # indices twice (as drawn, and in the batch's (steps, B) array), and each
 # run's gathered chunk (CHUNK_STEPS sampled rows x_i and n x_i, and their
-# y_i).  The problems' eigenfactors (d x d), norms and floors and the runs'
-# (B, d) optimizer state are not counted.  At the paper-fig3 size (d = 100,
-# n = 300, 3000 steps, 4 optimizers) a problem takes about 0.64 MB of it; a
-# desk angle problem about 0.05 MB.
+# y_i).  The problems' eigenfactors (d x d), screen limits, optima and regret
+# offsets (an n-vector each) and the runs' (B, d) optimizer state are not
+# counted.  At the paper-fig3 size (d = 100, n = 300, 3000 steps, 4
+# optimizers) a problem takes about 0.64 MB of it; a desk angle problem about
+# 0.05 MB.
 GROUP_BYTES = 64 * 2**20
 
 
@@ -880,16 +897,6 @@ def angle_means(records: list[dict]) -> dict[tuple[str, float], float]:
 # ---------------------------------------------------------------------------
 # Alignment angles
 # ---------------------------------------------------------------------------
-
-def alignment_angle(v: np.ndarray) -> float:
-    """Angle (degrees) between a unit vector and its nearest coordinate axis:
-    arccos of the largest absolute coordinate."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"expected a unit vector, got norm {norm!r}")
-    return float(np.degrees(np.arccos(min(float(np.max(np.abs(v))), 1.0))))
-
 
 def exact_alignment_fraction(d: int, threshold_deg: float) -> float:
     """P(alignment angle < threshold) for a uniform unit vector: the largest

@@ -166,25 +166,6 @@ def generate_from_seed(spec: GenSpec, seed: int) -> QuadraticProblem:
     return problem
 
 
-def make_rotated_2d(
-    cond: float,
-    lambda_min: float,
-    angle_deg: float,
-    rng: np.random.Generator,
-    *,
-    n: int = 300,
-) -> QuadraticProblem:
-    """A 2-d problem whose Hessian eigenbasis is rotated angle_deg away from
-    the standard axes, with eigenvalues (cond * lambda_min, lambda_min)."""
-    if cond < 1:
-        raise ValueError("condition number must be >= 1")
-    if not 0.0 <= angle_deg <= 90.0:
-        raise ValueError("angle must lie in [0, 90] degrees")
-    spec = GenSpec(n=n, d=2, lambda_max=cond * lambda_min, lambda_min=lambda_min,
-                   angle_2d=angle_deg)
-    return generate_least_squares(spec, rng)
-
-
 def problem_from_data(x: np.ndarray, y: np.ndarray) -> QuadraticProblem:
     """Wrap raw (X, y) data as a problem, eigendecomposing X.T X."""
     x = np.asarray(x, dtype=float)

@@ -21,7 +21,6 @@ from optbench.experiments import (
     RosterEntry,
     StabilityReport,
     Trace,
-    alignment_angle,
     alignment_monte_carlo,
     angle_means,
     check_distance_bound,
@@ -52,7 +51,6 @@ from optbench.problems import (
     GenSpec,
     generate_least_squares,
     lstsq_min_norm,
-    make_rotated_2d,
     problem_from_data,
 )
 
@@ -68,12 +66,13 @@ def reference_trajectory(problem, algo, config, steps, theta0, rng=None, *, snap
     """The single-run step loop run_trajectory had before it became a one-row
     run_batch, kept as the batch engine's oracle: one Optimizer.step per
     step, a single-sample gradient drawn from rng or the full gradient, the
-    exact loss every step."""
+    exact loss every step as the stop test, and as the record the
+    regret-in-loss 0.5 ||X (theta - theta*)||^2, or the loss itself when the
+    problem has no unique optimum."""
     if steps < 1:
         raise ValueError("need at least one step")
     d = problem.d
     theta = np.array(theta0, dtype=float)
-    base = problems.full_loss(problem, problem.theta_star) if problem.theta_star is not None else 0.0
     opt = Optimizer(algo, d, config)
     snaps = [theta.copy()] if snapshot_stride >= 1 else None
     ts, losses, etas, gnorms = [], [], [], []
@@ -87,13 +86,17 @@ def reference_trajectory(problem, algo, config, steps, theta0, rng=None, *, snap
         theta = opt.step(theta, g)
         if snaps is not None and step_i % snapshot_stride == 0:
             snaps.append(theta.copy())
-        val = problems.full_loss(problem, theta) - base
-        val = 0.0 if val < 0.0 else val
+        loss = problems.full_loss(problem, theta)
+        if problem.theta_star is None:
+            val = loss
+        else:
+            u = problem.x @ (theta - problem.theta_star)
+            val = 0.5 * float(u @ u)
         gn = float(np.linalg.norm(g))
         ts.append(step_i)
         etas.append(float(opt.last_eta_t[0, 0]))
         gnorms.append(gn if np.isfinite(gn) else np.inf)
-        if (not np.all(np.isfinite(g)) or not np.isfinite(val) or val >= LOSS_CAP
+        if (not np.all(np.isfinite(g)) or not np.isfinite(loss) or loss >= LOSS_CAP
                 or not np.all(np.isfinite(theta))):
             losses.append(LOSS_CAP)
             diverged = True
@@ -102,12 +105,13 @@ def reference_trajectory(problem, algo, config, steps, theta0, rng=None, *, snap
     return Trace(t=np.array(ts), loss=np.array(losses), eta_t=np.array(etas),
                  grad_norm=np.array(gnorms),
                  snapshots=np.array(snaps) if snaps is not None else None,
-                 diverged=diverged, final_theta=theta)
+                 diverged=diverged, final_theta=theta, final_loss=losses[-1])
 
 
 def assert_same_trace(trace, ref):
     """== on every field of two traces (NaN eta_t entries match NaN)."""
     assert trace.diverged == ref.diverged
+    assert trace.final_loss == ref.final_loss
     for name in ("t", "loss", "eta_t", "grad_norm", "final_theta"):
         np.testing.assert_array_equal(getattr(trace, name), getattr(ref, name), err_msg=name)
     assert (trace.snapshots is None) == (ref.snapshots is None)
@@ -127,7 +131,9 @@ class TestRunTrajectory:
         diffs = np.diff(trace.loss)
         above = trace.loss[:-1] > 1e-12
         assert np.all(diffs[above] < 0)
-        assert np.all(diffs <= 0)
+        # Below that, theta cycles on the float grid around theta*, and the
+        # exact regret with it, but it never climbs back.
+        assert np.all(trace.loss[np.argmin(above):] <= 1e-12)
 
     def test_deterministic_sgd_diverges_beyond_threshold(self):
         p = small_problem()
@@ -400,21 +406,6 @@ class TestRegretBatch:
 
 
 class TestAlignment:
-    def test_basis_vector(self):
-        assert alignment_angle(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.0)
-
-    def test_diagonal_2d(self):
-        v = np.array([1.0, 1.0]) / math.sqrt(2)
-        assert alignment_angle(v) == pytest.approx(45.0, abs=1e-9)
-
-    def test_four_equal_coordinates(self):
-        v = np.array([1.0, 1.0, 1.0, 1.0]) / 2.0
-        assert alignment_angle(v) == pytest.approx(60.0, abs=1e-9)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            alignment_angle(np.array([1.0, 1.0]))
-
     def test_exact_fraction_2d_closed_form(self):
         # angle uniform on [0, 45] degrees in 2-d, so P(angle < 15) = 1/3
         assert exact_alignment_fraction(2, 15.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -457,7 +448,7 @@ class TestDependenceRatio:
         n = len(snaps)
         return Trace(t=np.arange(1, n), loss=np.zeros(n - 1), eta_t=np.zeros(n - 1),
                      grad_norm=np.zeros(n - 1), snapshots=snaps, diverged=False,
-                     final_theta=snaps[-1])
+                     final_theta=snaps[-1], final_loss=0.0)
 
     def test_updates_in_top_space(self):
         q = np.eye(4)
@@ -505,7 +496,8 @@ def reference_angle_run(master_seed, cond, lambda_min, n, steps, roster, angle, 
     entry = roster[i_opt]
     lam_max = cond * lambda_min
     rng_problem = derive_rng(master_seed, 10, i_seed)
-    problem = make_rotated_2d(cond, lambda_min, angle, rng_problem, n=n)
+    problem = generate_least_squares(GenSpec(n=n, d=2, lambda_max=cond * lambda_min,
+                                             lambda_min=lambda_min, angle_2d=angle), rng_problem)
     theta0 = rng_problem.standard_normal(2)
     rng_run = derive_rng(master_seed, 11, i_seed, i_opt)
     return reference_trajectory(problem, entry.algo, entry.config(lam_max), steps, theta0, rng_run)
@@ -792,8 +784,8 @@ def counting_full_loss(monkeypatch) -> list:
 
 
 class TestBatchStopRule:
-    """The norm bound decides which runs get an exact loss check; the stop
-    rule itself stays the exact loss against the cap."""
+    """The limit on theta . theta decides which runs get an exact loss check;
+    the stop rule itself stays the exact loss against the cap."""
 
     def test_converging_runs_evaluate_no_loss_per_step(self, monkeypatch):
         probs = [small_problem(seed, d=4, n=40) for seed in range(3)]
@@ -805,7 +797,7 @@ class TestBatchStopRule:
         calls = counting_full_loss(monkeypatch)
         result = run_batch(probs, theta0, rows, 300)
         assert not result.stopped.any() and np.isfinite(result.final_loss).all()
-        assert calls[0] == len(probs) + len(rows)   # the floors and the finals
+        assert calls[0] == 0   # the finals are the regret, formed without full_loss
 
     def test_a_bound_over_the_cap_falls_back_to_the_exact_loss(self, monkeypatch):
         # A null direction of a rank-deficient problem: a component of 1e30
@@ -822,8 +814,8 @@ class TestBatchStopRule:
                 for i, (algo, eta) in enumerate(algos)]
         calls = counting_full_loss(monkeypatch)
         result = run_batch([p], theta0[None], rows, steps)
-        # every step rechecked, plus the finals; no floor, as there is no unique optimum
-        assert p.theta_star is None and calls[0] == len(rows) * (steps + 1)
+        # every step rechecked; the finals are formed without full_loss
+        assert p.theta_star is None and calls[0] == len(rows) * steps
         assert not result.stopped.any()
         bound = 0.5 * (np.linalg.norm(p.x) * np.linalg.norm(theta0) + np.linalg.norm(p.y)) ** 2
         assert bound >= experiments.SCREEN_CAP
@@ -887,10 +879,10 @@ class TestScreenedStops:
 
 
 class TestExactRows:
-    """Full-gradient rows and the rows of a recording batch take their loss
-    from the residual X theta - y their step forms anyway: full_loss runs
-    only for the floors, and the recorded losses equal the reference loop's
-    exact losses bit for bit."""
+    """Full-gradient rows and the rows of a recording batch take their stop
+    test's loss from the residual X theta - y their step forms anyway:
+    full_loss never runs, and the recorded losses equal the reference loop's
+    regret-in-loss bit for bit."""
 
     @pytest.mark.parametrize("stochastic,record", [(False, False), (False, True), (True, True)])
     def test_full_loss_runs_only_for_the_floors(self, monkeypatch, stochastic, record):
@@ -903,7 +895,7 @@ class TestExactRows:
         calls = counting_full_loss(monkeypatch)
         result = run_batch(probs, theta0, rows, 200, record=record)
         assert not result.stopped.any() and np.isfinite(result.final_loss).all()
-        assert calls[0] == len(probs)
+        assert calls[0] == 0
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 300), d=st.integers(1, 100), log_scale=st.floats(-5.0, 5.0),
@@ -929,6 +921,38 @@ class TestExactRows:
                                        derive_rng(seed, 9, i) if stochastic else None)
             np.testing.assert_array_equal(result.traces[i].loss, ref.loss)
             assert result.final_loss[i] == ref.final_loss
+
+
+class TestRegretInLoss:
+    """A row's final loss is f(theta) - f(theta*) in the exact form
+    0.5 ||X (theta - theta*)||^2.  At converged runs the difference of the
+    two losses cancels to 0; the exact form keeps its value."""
+
+    @pytest.mark.parametrize("d", [2, 10, 50])
+    def test_final_loss_is_the_exact_regret_where_the_difference_reads_zero(self, d):
+        p = small_problem(3, d=d, cond=10.0, n=4 * d)
+        theta0 = p.theta_star + PERTURBATION * derive_rng(3, 1).standard_normal(d)
+        rows = [BatchRow(0, "sgd", OptimizerConfig(eta=1.9, beta1=0.0)),
+                BatchRow(0, "sgd", OptimizerConfig(eta=1.0, beta1=0.0)),
+                BatchRow(0, "adasgdmax", OptimizerConfig(eta=1.0, beta1=0.0, beta2=BETA2))]
+        result = run_batch([p], theta0[None], rows, 3000)
+        x, theta_star = p.x.astype(np.longdouble), p.theta_star.astype(np.longdouble)
+        for theta, final in zip(result.theta, result.final_loss):
+            difference = problems.full_loss(p, theta) - problems.full_loss(p, p.theta_star)
+            u = x @ (theta.astype(np.longdouble) - theta_star)
+            exact = 0.5 * (u @ u)
+            assert max(difference, 0.0) == 0.0 < final
+            assert abs(final - exact) <= 4 * EPS * exact
+
+    def test_snapshot_only_traces_carry_the_final_loss(self):
+        p = small_problem(d=3, n=12)
+        rows = [BatchRow(0, "sgd", OptimizerConfig(eta=0.5, beta1=0.0)),
+                BatchRow(0, "sgd", OptimizerConfig(eta=2.5, beta1=0.0))]
+        result = run_batch([p], p.theta_star[None] + 1.0, rows, 2000, snapshot_stride=1)
+        assert result.stopped.tolist() == [False, True]
+        for i, trace in enumerate(result.traces):
+            assert trace.loss is None and trace.final_loss == result.final_loss[i]
+        assert result.traces[1].final_loss == LOSS_CAP
 
 
 class RecordingPool:

@@ -13,7 +13,6 @@ from optbench.problems import (
     generate_least_squares,
     logistic_oracle,
     make_online_problem,
-    make_rotated_2d,
     min_norm_solution,
     problem_from_data,
     regret,
@@ -131,19 +130,27 @@ class TestGeneration:
         np.testing.assert_array_equal(p.q, np.eye(6))
 
 
+def rotated_2d(cond, lambda_min, angle_deg, n=300):
+    """A 2-d problem whose Hessian eigenbasis is rotated angle_deg away from
+    the standard axes, with eigenvalues (cond * lambda_min, lambda_min)."""
+    spec = GenSpec(n=n, d=2, lambda_max=cond * lambda_min, lambda_min=lambda_min,
+                   angle_2d=angle_deg)
+    return generate_least_squares(spec, np.random.default_rng(0))
+
+
 class TestRotated2d:
     def test_angle_zero_diagonal(self):
-        p = make_rotated_2d(1e4, 1.0, 0.0, np.random.default_rng(0))
+        p = rotated_2d(1e4, 1.0, 0.0)
         gram = p.x.T @ p.x
         assert abs(gram[0, 1]) < 1e-6 * p.lambda_max
 
     def test_angle_45_symmetric(self):
-        p = make_rotated_2d(1e4, 1.0, 45.0, np.random.default_rng(0))
+        p = rotated_2d(1e4, 1.0, 45.0)
         gram = p.x.T @ p.x
         assert abs(gram[0, 0] - gram[1, 1]) < 1e-6 * p.lambda_max
 
     def test_angle_30_off_diagonal(self):
-        p = make_rotated_2d(100.0, 2.0, 30.0, np.random.default_rng(0))
+        p = rotated_2d(100.0, 2.0, 30.0)
         lam_max, lam_min = 200.0, 2.0
         # rotation-conjugation oracle
         a = np.deg2rad(30.0)
@@ -154,11 +161,13 @@ class TestRotated2d:
         np.testing.assert_allclose(gram, expected, atol=1e-6 * lam_max)
 
     def test_bad_inputs(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            make_rotated_2d(0.5, 1.0, 10.0, rng)
-        with pytest.raises(ValueError):
-            make_rotated_2d(10.0, 1.0, 120.0, rng)
+        with pytest.raises(ValueError, match="need 0 <= lambda_min <= lambda_max"):
+            rotated_2d(0.5, 1.0, 10.0)
+        with pytest.raises(ValueError, match="angle_2d only applies to d = 2 problems"):
+            GenSpec(n=30, d=3, lambda_max=1.0, lambda_min=0.1, angle_2d=10.0).validate()
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            GenSpec(n=30, d=2, lambda_max=1.0, lambda_min=0.1, angle_2d=10.0,
+                    axis_aligned=True).validate()
 
 
 class TestLossAndGradients:

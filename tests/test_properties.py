@@ -4,8 +4,10 @@ contract (with every runner stubbed, and again with each real runner at a tiny
 size on junk numbers), AdaSGDMax's eta_t never increases, box projection is
 idempotent, serialized problems round-trip bit for bit, the loss never exceeds
 the norm bound the batch engine's stop rule relies on, the numpy Spearman
-equals SciPy's on tied and untied inputs, and AdaSGD's final distance to the
-optimum stays within its bound on generated deterministic quadratics."""
+equals SciPy's on tied and untied inputs, AdaSGD's final distance to the
+optimum stays within its bound on generated deterministic quadratics, and the
+rules with one global rate commute with rotations while all six commute with
+signed permutations."""
 
 import contextlib
 import functools
@@ -22,10 +24,25 @@ from hypothesis import strategies as st
 
 import optbench.experiments as experiments
 from optbench.cli import COMMANDS, PRESETS, UsageError, defaults, main, resolve_params
-from optbench.experiments import StabilityReport, check_distance_bound, stability_spearman
-from optbench.linalg import project_box
-from optbench.optim import Optimizer, OptimizerConfig
-from optbench.problems import GenSpec, QuadraticProblem, full_loss, generate_from_seed
+from optbench.experiments import (
+    BETA2,
+    BatchRow,
+    StabilityReport,
+    check_distance_bound,
+    derive_rng,
+    run_batch,
+    stability_spearman,
+)
+from optbench.linalg import haar_orthogonal, project_box
+from optbench.optim import ALGORITHMS, Optimizer, OptimizerConfig
+from optbench.problems import (
+    GenSpec,
+    QuadraticProblem,
+    full_loss,
+    generate_from_seed,
+    generate_least_squares,
+    problem_from_data,
+)
 
 KEYS = [(sub, key) for sub in COMMANDS for key in defaults(sub)]
 PROPERTY = settings(max_examples=20, deadline=None,
@@ -334,3 +351,87 @@ def test_adasgd_distance_stays_within_the_bound(d, log_cond, log_eta, steps, see
                                           eta_values=(10.0 ** log_eta,), steps=steps)
     assert failures == [], failures
     assert rows[0]["distance"] <= rows[0]["bound"]
+
+
+# A stable config of every rule on the problems below (lambda_max = 1).
+RULES = {
+    "sgd": OptimizerConfig(eta=0.1),
+    "adam": OptimizerConfig(eta=0.01),
+    "amsgrad": OptimizerConfig(eta=0.01),
+    "adabound": OptimizerConfig(eta=0.01, eta_sgd=0.1, gamma=1e-2),
+    "adasgd": OptimizerConfig(eta=0.01, beta2=BETA2),
+    "adasgdmax": OptimizerConfig(eta=0.1, beta2=BETA2),
+}
+assert set(RULES) == set(ALGORITHMS)
+GLOBAL_RATE = ("sgd", "adasgd", "adasgdmax")
+
+
+def transformed_drift(problem, q, theta0, algos, steps, indices):
+    """||theta' - Q theta|| / ||theta|| for each rule: theta from a run on
+    (X, y) from theta0, theta' from a run on (X Q.T, y) from Q theta0, both
+    with the same sample indices (full-gradient steps for None)."""
+    rows = [BatchRow(0, algo, RULES[algo], indices) for algo in algos]
+    base = run_batch([problem], theta0[None], rows, steps)
+    moved = run_batch([problem_from_data(problem.x @ q.T, problem.y)], (q @ theta0)[None],
+                      rows, steps)
+    assert not (base.stopped.any() or moved.stopped.any())
+    return np.linalg.norm(moved.theta - base.theta @ q.T, axis=1) / np.linalg.norm(base.theta,
+                                                                                    axis=1)
+
+
+@st.composite
+def equivariance_cases(draw):
+    """A full-rank problem, a start and a sample stream (or None)."""
+    d = draw(st.integers(2, 12))
+    n = draw(st.integers(d, 4 * d))
+    log_cond, seed = draw(st.floats(0.0, 3.0)), draw(st.integers(0, 2**32 - 1))
+    steps = draw(st.integers(1, 200))
+    problem = generate_least_squares(
+        GenSpec(n=n, d=d, lambda_max=1.0, lambda_min=10.0 ** -log_cond), derive_rng(seed, 0))
+    rng = derive_rng(seed, 1)
+    indices = rng.integers(n, size=steps) if draw(st.booleans()) else None
+    return problem, rng.standard_normal(d), steps, indices, rng
+
+
+# Measured drift stays under 0.5 eps per step; the bound leaves a factor 8.
+def drift_bound(steps):
+    return 4 * steps * np.finfo(float).eps
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=equivariance_cases())
+def test_global_rate_rules_commute_with_rotations(case):
+    # Their step is linear in g and their rate depends on g only through
+    # ||g||, which a rotation keeps.
+    problem, theta0, steps, indices, rng = case
+    q = haar_orthogonal(problem.d, rng)
+    drift = transformed_drift(problem, q, theta0, GLOBAL_RATE, steps, indices)
+    assert (drift <= drift_bound(steps)).all(), drift
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=equivariance_cases())
+def test_every_rule_commutes_with_signed_permutations(case):
+    # A per-coordinate rule only permutes its state, and its g^2 ignores signs.
+    problem, theta0, steps, indices, rng = case
+    d = problem.d
+    q = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)[:, None]
+    drift = transformed_drift(problem, q, theta0, ALGORITHMS, steps, indices)
+    assert (drift <= drift_bound(steps)).all(), drift
+
+
+def test_per_coordinate_rules_do_not_commute_with_a_45_degree_turn():
+    # An axis-aligned 2-d problem turned by 45 degrees: the global-rate rules
+    # follow it, while adam, amsgrad and adabound, whose per-coordinate rates
+    # see the turned gradients, end up elsewhere.
+    problem = generate_least_squares(
+        GenSpec(n=20, d=2, lambda_max=1.0, lambda_min=1e-2, axis_aligned=True),
+        derive_rng(0, 0))
+    c = np.sqrt(0.5)
+    q = np.array([[c, -c], [c, c]])
+    steps = 200
+    drift = dict(zip(ALGORITHMS, transformed_drift(
+        problem, q, derive_rng(0, 1).standard_normal(2), ALGORITHMS, steps,
+        derive_rng(0, 2).integers(20, size=steps))))
+    assert all(drift[algo] <= drift_bound(steps) for algo in GLOBAL_RATE), drift
+    assert all(drift[algo] > 1e-3 for algo in ("adam", "amsgrad", "adabound")), drift
