@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package, not in the first run
@@ -38,7 +38,7 @@ from .problems import (
 
 # Divergence is reported as log10 loss = 50.
 LOSS_CAP = 1e50
-# A screened run gets its loss computed, exactly, only when its bound
+# A run gets its loss computed, exactly, only when its bound
 # 0.5 (||X||_F ||theta|| + ||y||)^2 may reach this, tested as a limit on
 # theta . theta (see _screen_limits); the margin below LOSS_CAP covers the
 # rounding, so a bound under it proves the loss under the cap.
@@ -207,17 +207,16 @@ def run_batch(
     gather their x_i and y_i CHUNK_STEPS steps at a time, with one index.
 
     One predicate decides every stop: a row stops, and leaves the work,
-    after the step whose gradient or updated parameters hold a non-finite
-    value or whose loss is not below LOSS_CAP, and its final parameters are
-    the ones that step produced.  Full-gradient and recorded rows form
-    r = X theta - y once per step: their loss 0.5 r . r (the stop test) and
-    a full-gradient row's next gradient X.T r come from it.  Sampled
-    unrecorded rows are screened instead: a row whose theta . theta is under
-    its problem's limit (see _screen_limits) has its loss under the cap, and
-    only a row at or over it gets its exact full_loss.  Each step first tests
-    all rows at once (every gradient finite, and every loss under LOSS_CAP or
-    every theta . theta under its limit); only when that fails does the
-    per-row predicate run.
+    after the step whose theta . theta is not under its problem's limit (see
+    _screen_limits) and whose exact full_loss is not under LOSS_CAP; its final
+    parameters are the ones that step produced.  Each step tests all rows at
+    once (every theta . theta under its limit), and only the rows that fail
+    get a full_loss.  This stops a run exactly when its gradient, its
+    parameters or its loss first goes bad: every rule adds g into m and
+    subtracts rate * m, with a rate >= 0 or non-finite, so a non-finite g
+    leaves theta non-finite in the same step (0 * inf is NaN); a non-finite
+    theta fails the limit and has a non-finite loss; and a theta under its
+    limit has its loss under the cap.
 
     What a row reports is its regret-in-loss 0.5 ||X (theta - theta*)||^2, or
     its raw loss when its problem has no unique optimum (see _regret): every
@@ -250,7 +249,7 @@ def run_batch(
     offsets = np.stack([p.y if p.theta_star is None else np.zeros(n) for p in problems])
     blocks: dict[tuple, list[int]] = {}
     for i, row in enumerate(rows):
-        blocks.setdefault((row.algo, astuple(replace(row.config, eta=1.0))), []).append(i)
+        blocks.setdefault((row.algo, replace(row.config, eta=1.0)), []).append(i)
     opts = [Optimizer(rows[m[0]].algo, d, [rows[i].config for i in m]) for m in blocks.values()]
     parts = _parts(opts)
     ids = np.array([i for m in blocks.values() for i in m])   # the row of each live run
@@ -267,12 +266,12 @@ def run_batch(
         snaps = np.full((1 + steps // snapshot_stride, len(rows), d), np.nan)
         snaps[0, ids] = theta
     inv_n = 1.0 / n
-    with np.errstate(all="ignore"):   # non-finite values stop their runs below
-        if exact := samples is None or record:   # each live row's data and X theta - y
-            x, y, centre, offset = xs[pid], ys[pid], centres[pid], offsets[pid]
-            r = (x @ theta[:, :, None])[:, :, 0] - y
+    if gathered := samples is None or record:   # each live row's data, for X.T r or _regret
+        x, y, centre, offset = xs[pid], ys[pid], centres[pid], offsets[pid]
+    with np.errstate(all="ignore"):   # a non-finite theta fails the screen and stops its run
         for t in range(steps):
-            if samples is None:   # X.T (X theta - y), from the residual at this theta
+            if samples is None:   # X.T (X theta - y)
+                r = (x @ theta[:, :, None])[:, :, 0] - y
                 g = (np.swapaxes(x, 1, 2) @ r[:, :, None])[:, :, 0]
             else:   # sample_gradient's n * x_i (x_i . theta - y_i), in its rounding
                 if (j := t % CHUNK_STEPS) == 0:
@@ -282,20 +281,11 @@ def run_batch(
                 g = nxc[j] * (np.vecdot(xc[j], theta) - yc[j])[:, None] * inv_n
             for opt, part in parts:
                 opt.update(theta[part], g[part])
-            if exact:
-                r = (x @ theta[:, :, None])[:, :, 0] - y
-                loss = 0.5 * np.vecdot(r, r)
-                clear = np.isfinite(g).all() and (loss < LOSS_CAP).all()
-            else:
-                norm2 = np.vecdot(theta, theta)
-                clear = np.isfinite(g).all() and (norm2 < lim).all()
-            if not clear:   # the per-row stop predicate
-                stop = ~(np.isfinite(g).all(axis=1) & np.isfinite(theta).all(axis=1))
-                if exact:
-                    stop |= ~(loss < LOSS_CAP)   # non-finite or at least the cap
-                else:
-                    for i in np.flatnonzero(~(norm2 < lim) & ~stop):
-                        stop[i] = not full_loss(problems[pid[i]], theta[i]) < LOSS_CAP
+            norm2 = np.vecdot(theta, theta)
+            if not (clear := (norm2 < lim).all()):   # the exact loss of each row over its limit
+                stop = ~(norm2 < lim)
+                for i in np.flatnonzero(stop):
+                    stop[i] = not full_loss(problems[pid[i]], theta[i]) < LOSS_CAP
             if record:
                 regret = _regret(x, theta, centre, offset)
                 if not clear:
@@ -303,7 +293,7 @@ def run_batch(
                 grad_norm = np.sqrt(np.vecdot(g, g))
                 history[:, t, ids] = (
                     regret, np.concatenate([opt.last_eta_t[:, 0] for opt in opts]),
-                    np.where(np.isfinite(grad_norm), grad_norm, np.inf))
+                    np.where(np.isnan(grad_norm), np.inf, grad_norm))
             if snapshot_stride and (t + 1) % snapshot_stride == 0:
                 snaps[(t + 1) // snapshot_stride, ids] = theta
             if not clear and stop.any():
@@ -314,8 +304,8 @@ def run_batch(
                     opt.select(keep[part])
                 parts = _parts(opts)
                 ids, pid, theta, lim = ids[keep], pid[keep], theta[keep], lim[keep]
-                if exact:
-                    x, y, r, centre, offset = x[keep], y[keep], r[keep], centre[keep], offset[keep]
+                if gathered:
+                    x, y, centre, offset = x[keep], y[keep], centre[keep], offset[keep]
                 if samples is not None:
                     xc, yc, nxc = xc[:, keep], yc[:, keep], nxc[:, keep]
                 if not ids.size:

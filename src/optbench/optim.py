@@ -26,8 +26,9 @@ global second moment v; and whether a running maximum v_hat is held.
     adabound    per-coordinate adam rate clipped into [eta_l(t), eta_u(t)]
                 around a terminal sgd rate
 
-Divergence policy: rows are independent; a non-finite gradient or parameter
-makes only its own row non-finite, and the caller decides when a run stops.
+Divergence policy: rows are independent; a non-finite gradient entry makes
+the same entry of its row's parameters non-finite in that step and leaves the
+other rows as they were, and the caller decides when a run stops.
 Zero-gradient guard: when the global second moment is exactly zero the
 adasgd/adasgdmax step is skipped (the update is 0/0 but the true gradient
 step is zero anyway).  The optimizer knows no box: a box-constrained caller
@@ -51,7 +52,7 @@ _PER_COORDINATE = ("adam", "amsgrad", "adabound")
 _ROW_STATE = ("eta", "m", "v", "v_hat", "last_eta_t")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     eta: float
     beta1: float = 0.9

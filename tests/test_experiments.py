@@ -784,8 +784,9 @@ def counting_full_loss(monkeypatch) -> list:
 
 
 class TestBatchStopRule:
-    """The limit on theta . theta decides which runs get an exact loss check;
-    the stop rule itself stays the exact loss against the cap."""
+    """One rule stops every run, full-gradient or sampled, recording or not:
+    the limit on theta . theta decides which runs get an exact loss, and a
+    run stops when that loss is not under the cap."""
 
     def test_converging_runs_evaluate_no_loss_per_step(self, monkeypatch):
         probs = [small_problem(seed, d=4, n=40) for seed in range(3)]
@@ -826,6 +827,63 @@ class TestBatchStopRule:
             assert not trace.diverged and len(trace.t) == steps
             assert 1e20 < trace.final_loss < LOSS_CAP
             assert result.final_loss[i] == trace.final_loss
+
+    def test_full_gradient_rows_over_the_limit_fall_back_to_the_exact_loss(self, monkeypatch):
+        # The sampled test's null direction, on full-gradient rows: they too
+        # get the exact loss on every step and never stop.
+        p = generate_least_squares(GenSpec(n=40, d=4, lambda_max=1.0, lambda_min=0.0),
+                                   derive_rng(0, 0))
+        null = p.q[p.lam <= RANK_CUTOFF * p.lambda_max][0]
+        theta0 = derive_rng(0, 1).standard_normal(4) + 1e30 * null
+        steps = 200
+        algos = (("sgd", 0.1), ("adam", 0.1), ("adasgd", 0.01))
+        rows = [BatchRow(0, algo, OptimizerConfig(eta=eta)) for algo, eta in algos]
+        calls = counting_full_loss(monkeypatch)
+        result = run_batch([p], theta0[None], rows, steps)
+        assert p.theta_star is None and calls[0] == len(rows) * steps
+        assert not result.stopped.any()
+        monkeypatch.undo()
+        for i, (algo, eta) in enumerate(algos):
+            trace = reference_trajectory(p, algo, OptimizerConfig(eta=eta), steps, theta0)
+            assert not trace.diverged and len(trace.t) == steps
+            assert 1e20 < trace.final_loss < LOSS_CAP
+            assert result.final_loss[i] == trace.final_loss
+
+
+class TestRecordingKeepsNotRuns:
+    """record and snapshot_stride change what run_batch keeps, never what it
+    runs: every row stops at the same step, with the same parameters and
+    final loss, whether its batch records, takes snapshots, both or neither."""
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_stops_and_finals_do_not_depend_on_what_is_kept(self, sampled):
+        probs = [small_problem(seed, d=4, n=40) for seed in range(2)]
+        theta0 = np.array([derive_rng(seed, 1).standard_normal(4) for seed in range(2)])
+        steps = 120
+        # eta = 1e308 stops its rows on the first step, with theta non-finite
+        # or its loss over the cap; the unstable rates take the loss over the
+        # cap later; the rest converge.
+        unstable = 3e3 if sampled else 8.0
+        runs = [("sgd", 1e308), ("adam", 1e308), ("adasgd", 1e308),
+                ("sgd", unstable), ("sgd", 2 * unstable), ("adasgd", 0.01), ("adam", 0.01)]
+        rows = [BatchRow(k, algo, OptimizerConfig(eta=eta),
+                         derive_rng(k, 2, i).integers(40, size=steps) if sampled else None)
+                for k in range(2) for i, (algo, eta) in enumerate(runs)]
+        plain, *kept = [run_batch(probs, theta0, rows, steps, record=record,
+                                  snapshot_stride=stride)
+                        for record, stride in ((False, 0), (True, 0), (False, 1), (True, 1))]
+        for result in kept:
+            assert result.final_loss.tobytes() == plain.final_loss.tobytes()
+            assert result.stopped.tobytes() == plain.stopped.tobytes()
+            assert result.theta.tobytes() == plain.theta.tobytes()
+            assert [len(trace.t) for trace in result.traces] == [
+                len(trace.t) for trace in kept[0].traces]
+        made = [len(trace.t) for trace in kept[0].traces]
+        huge = [row.config.eta == 1e308 for row in rows]
+        assert all(k == 1 for k, h in zip(made, huge) if h)
+        assert not np.isfinite(plain.theta[huge]).all()
+        assert any(1 < k < steps for k in made) and steps in made
+        assert plain.stopped.tolist() == [k < steps for k in made]
 
 
 class Replay:
@@ -879,10 +937,9 @@ class TestScreenedStops:
 
 
 class TestExactRows:
-    """Full-gradient rows and the rows of a recording batch take their stop
-    test's loss from the residual X theta - y their step forms anyway:
-    full_loss never runs, and the recorded losses equal the reference loop's
-    regret-in-loss bit for bit."""
+    """Rows under their limit need no loss to stop: full_loss never runs,
+    whether the rows are full-gradient or recorded, and the recorded losses
+    equal the reference loop's regret-in-loss bit for bit."""
 
     @pytest.mark.parametrize("stochastic,record", [(False, False), (False, True), (True, True)])
     def test_full_loss_runs_only_for_the_floors(self, monkeypatch, stochastic, record):

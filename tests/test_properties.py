@@ -435,3 +435,35 @@ def test_per_coordinate_rules_do_not_commute_with_a_45_degree_turn():
         derive_rng(0, 2).integers(20, size=steps))))
     assert all(drift[algo] <= drift_bound(steps) for algo in GLOBAL_RATE), drift
     assert all(drift[algo] > 1e-3 for algo in ("adam", "amsgrad", "adabound")), drift
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(2, 5), d=st.integers(1, 6), warmup=st.integers(0, 3),
+       bad_value=st.sampled_from([np.inf, -np.inf, np.nan]), beta1=st.sampled_from([0.0, 0.9]),
+       gamma=st.sampled_from([1e-20, 1e-2]), decay=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_non_finite_gradient_entry_leaves_its_theta_entry_non_finite(
+        algo, rows, d, warmup, bad_value, beta1, gamma, decay, seed, data):
+    # run_batch's one stop test reads only theta: it rests on every rule
+    # adding g into m and subtracting rate * m, with no rate that is exactly
+    # 0 skipping the subtraction (0 * inf is NaN).  gamma = 1e-20 puts
+    # adabound's lower clip at 0; zeroed rows take adasgd's zero-moment path.
+    bad_row, k = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, d - 1))
+    rng = np.random.default_rng(seed)
+    configs = [OptimizerConfig(eta=10.0 ** rng.uniform(-3, 1), beta1=beta1, regret_decay=decay,
+                               eta_sgd=0.1, gamma=gamma) for _ in range(rows)]
+    grads = rng.standard_normal((warmup + 1, rows, d))
+    grads[:, rng.random(rows) < 0.3] = 0.0
+    grads[-1, bad_row, k] = bad_value
+    others = np.arange(rows) != bad_row
+    theta = rng.standard_normal((rows, d))
+    rest = theta[others]
+    batch = Optimizer(algo, d, configs)
+    alone = Optimizer(algo, d, [c for c, keep in zip(configs, others) if keep])
+    with np.errstate(all="ignore"):   # as in run_batch
+        for g in grads:
+            batch.update(theta, g)
+            alone.update(rest, g[others])
+    assert not np.isfinite(theta[bad_row, k])
+    assert theta[others].tobytes() == rest.tobytes()
