@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import experiments as ex
+from .linalg import set_blas_threads
 
 
 class UsageError(Exception):
@@ -280,15 +281,21 @@ def main(argv: list[str] | None = None) -> int:
         if out_dir is None:
             raise UsageError("--out is required")
         workers = args.workers if args.workers is not None else file_workers
-        if workers is None:
-            workers = os.cpu_count() or 1
+        if workers is None:   # the cores this process may run on
+            workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count() or 1)
         if workers < 1:
             raise UsageError("--workers must be >= 1")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    return dispatch(args.subcommand, params, seed=seed, workers=workers,
-                    out_dir=out_dir, preset=args.preset, applied_overrides=applied)
+    previous = set_blas_threads(1)   # the --workers processes are the parallelism
+    try:
+        return dispatch(args.subcommand, params, seed=seed, workers=workers,
+                        out_dir=out_dir, preset=args.preset, applied_overrides=applied)
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
 def entry() -> None:

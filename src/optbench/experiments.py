@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package, not in the first run
 
-from .linalg import haar_orthogonal, project_box, sym_eigh
+from .linalg import haar_orthogonal, project_box, set_blas_threads, sym_eigh
 from .optim import ALGORITHMS, Optimizer, OptimizerConfig
 from .problems import (
     ONLINE_KINDS,
@@ -26,7 +26,6 @@ from .problems import (
     ZERO_SPECTRUM_FLOOR,
     GenSpec,
     QuadraticProblem,
-    full_loss,
     generate_least_squares,
     lstsq_min_norm,
     make_online_problem,
@@ -211,7 +210,8 @@ def run_batch(
     _screen_limits) and whose exact full_loss is not under LOSS_CAP; its final
     parameters are the ones that step produced.  Each step tests all rows at
     once (every theta . theta under its limit), and only the rows that fail
-    get a full_loss.  This stops a run exactly when its gradient, its
+    get their loss, one stacked _regret per problem that rounds as full_loss
+    does on each row.  This stops a run exactly when its gradient, its
     parameters or its loss first goes bad: every rule adds g into m and
     subtracts rate * m, with a rate >= 0 or non-finite, so a non-finite g
     leaves theta non-finite in the same step (0 * inf is NaN); a non-finite
@@ -282,10 +282,11 @@ def run_batch(
             for opt, part in parts:
                 opt.update(theta[part], g[part])
             norm2 = np.vecdot(theta, theta)
-            if not (clear := (norm2 < lim).all()):   # the exact loss of each row over its limit
+            if not (clear := (norm2 < lim).all()):   # the raw loss of the rows over their limit
                 stop = ~(norm2 < lim)
-                for i in np.flatnonzero(stop):
-                    stop[i] = not full_loss(problems[pid[i]], theta[i]) < LOSS_CAP
+                for p in set(pid[stop].tolist()):   # one stacked loss per problem, as full_loss
+                    over = stop & (pid == p)
+                    stop[over] = ~(_regret(xs[p], theta[over], 0.0, ys[p]) < LOSS_CAP)
             if record:
                 regret = _regret(x, theta, centre, offset)
                 if not clear:
@@ -716,12 +717,24 @@ GROUP_BYTES = 64 * 2**20
 
 def _map_cells(fn, items: list, workers: int) -> list:
     """fn(item) for every item, in order; across a pool of at most one process
-    per item when workers > 1."""
+    per item when workers > 1.
+
+    These processes are the only parallelism: each runs numpy's BLAS on one
+    thread (cli.main sets the caller's, the pool's initializer each
+    worker's, whatever the start method).  The problems are small
+    (d <= 100), so a BLAS thread pool does no useful work on them, yet after
+    each threaded call (a Haar QR, an eigh, a product) OpenBLAS's idle
+    worker busy-waits for about 135 ms, and each worker process would spin
+    a pool of its own.  On 2 cores at the default BLAS setting,
+    heatmap --preset paper-fig3 --seed 0 took 12.8 s at --workers 1 and 21
+    to 66 s at --workers 2 with a BLAS pool per process; with one thread
+    each, 10.1 s and 5.2 to 5.5 s."""
     processes = min(workers, len(items))
     if processes > 1:
         # imported here: it loads multiprocessing, which a one-worker call never uses
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with ProcessPoolExecutor(max_workers=processes, initializer=set_blas_threads,
+                                 initargs=(1,)) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 

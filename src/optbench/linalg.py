@@ -1,16 +1,19 @@
 """Dense small-scale linear algebra: Haar-orthogonal sampling, Householder QR,
-symmetric eigensolvers, and Euclidean box projection.
+symmetric eigensolvers, Euclidean box projection, and the BLAS thread count.
 
 QR (householder_qr) and every internal eigensolve (sym_eigh) go through
 LAPACK via numpy.linalg; the pure-Python cyclic Jacobi solver jacobi_eigh
 keeps sym_eigh's contract and is the accuracy oracle the tests compare it
 against.  All three reject NaN and infinite input with ValueError.
 
-Everything here is a pure function of its inputs (plus an explicitly passed
-seeded generator where randomness is involved).
+Everything here but set_blas_threads is a pure function of its inputs (plus
+an explicitly passed seeded generator where randomness is involved).
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -19,6 +22,14 @@ JACOBI_MAX_SWEEPS = 100
 JACOBI_TOL_FACTOR = 1e-12
 JACOBI_MAX_DIM = 512
 SYMMETRY_TOL = 1e-9
+
+# The (set, get) thread-count calls an OpenBLAS library may export: the
+# scipy-openblas build in numpy's wheels, a 64-bit-integer build, a plain one.
+OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 class EigenConvergenceError(RuntimeError):
@@ -198,3 +209,36 @@ def project_box(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     if np.any(lo > hi):
         raise ValueError("box is empty: lo > hi in some coordinate")
     return np.minimum(np.maximum(theta, lo), hi)
+
+
+@functools.cache
+def _openblas_thread_calls() -> tuple:
+    """The (set, get) thread-count calls of each OpenBLAS library mapped into
+    the process at the first call, in path order.  The libraries are found
+    by name in /proc/self/maps, so numpy's is found whatever its wheel calls
+    the file; without that file there are none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    calls = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        names = next((pair for pair in OPENBLAS_THREAD_CALLS if hasattr(handle, pair[0])), None)
+        if names is not None:
+            calls.append(tuple(getattr(handle, name) for name in names))
+    return tuple(calls)
+
+
+def set_blas_threads(count: int) -> int | None:
+    """Run every OpenBLAS library the process had loaded at the first call
+    on count threads; return the first one's previous count, or None when
+    there is none (then this does nothing)."""
+    calls = _openblas_thread_calls()
+    if not calls:
+        return None
+    previous = int(calls[0][1]())
+    for set_threads, _ in calls:
+        set_threads(count)
+    return previous

@@ -1,6 +1,9 @@
+import concurrent.futures
+import functools
 import hashlib
 import importlib.util
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,13 +22,17 @@ from optbench.cli import (
     resolve_params,
 )
 from optbench.experiments import sweep_angle
+from optbench.linalg import set_blas_threads
 from optbench.optim import Optimizer
 
+NO_OPENBLAS = "no OpenBLAS is loaded: numpy's BLAS is another library, and runs keep its threads"
 
-def fresh_python(*args):
-    """Run a new interpreter that imports optbench from this checkout."""
+
+def fresh_python(*args, **environ):
+    """Run a new interpreter that imports optbench from this checkout, with
+    the extra environment variables given."""
     src = os.path.dirname(os.path.dirname(optbench.__file__))
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -33,6 +40,47 @@ def fresh_python(*args):
 
 def read(path):
     return path.read_bytes()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """This process's BLAS on two threads for the test, its count restored after."""
+    previous = set_blas_threads(2)
+    if previous is None:
+        pytest.skip(NO_OPENBLAS)
+    yield
+    set_blas_threads(previous)
+
+
+class TestBlasThreads:
+    """The --workers processes are the only parallelism: a run sets this
+    process's BLAS, and each pool worker's, to one thread, and gives the
+    caller its count back.  A count is read by setting the policy's 1, as
+    set_blas_threads returns the one it replaces."""
+
+    def test_a_run_uses_one_blas_thread_and_restores_the_count(self, tmp_path, capsys,
+                                                               monkeypatch, two_blas_threads):
+        seen = []
+
+        def runner(master_seed, *, workers):
+            seen.append(set_blas_threads(1))
+            seen.append(experiments._map_cells(set_blas_threads, [1, 1], workers))
+            return []
+
+        monkeypatch.setattr(experiments, "sweep_heatmap", runner)
+        assert main(["heatmap", "--seed", "0", "--out", str(tmp_path), "--workers", "2"]) == 0
+        assert seen == [1, [1, 1]]
+        assert set_blas_threads(2) == 2
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch, two_blas_threads, method):
+        # Called outside a run, so a forked worker would keep this process's
+        # two threads, and a spawned one would start at the library default.
+        pool = functools.partial(concurrent.futures.ProcessPoolExecutor,
+                                 mp_context=multiprocessing.get_context(method))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        assert experiments._map_cells(set_blas_threads, [1, 1], 2) == [1, 1]
+        assert set_blas_threads(2) == 2
 
 
 class TestResolveParams:
@@ -153,6 +201,33 @@ class TestMain:
         proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_leaves_the_blas_thread_count(self):
+        # Only a run sets one BLAS thread; importing the package sets nothing.
+        code = ("import optbench, optbench.cli, optbench.linalg as linalg; "
+                "print(linalg.set_blas_threads(1))")
+        proc = fresh_python("-c", code, OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "None":
+            pytest.skip(NO_OPENBLAS)
+        assert proc.stdout.strip() == "2"
+
+    @pytest.mark.parametrize("cores,count,workers", [
+        ({0}, 64, 1), ({0, 5, 7}, 64, 3), (None, 5, 5), (None, None, 1)])
+    def test_default_workers_are_the_usable_cores(self, tmp_path, capsys, monkeypatch, cores,
+                                                  count, workers):
+        # The CPU count only where the platform cannot tell the cores this
+        # process may run on.  One cell: a single group, so no pool starts.
+        if cores is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        argv = ["heatmap", "--seed", "1", "--out", str(tmp_path)]
+        for item in ["lambda_max_values=1", "cond_values=1", "seeds=1", "steps=5", "d=2", "n=4"]:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["workers"] == workers
 
     @pytest.mark.parametrize("sub,overrides,recorded", [
         ("stability", ["n=6", "d=3", "swaps=1", "seeds=1", "degenerate_n=3",

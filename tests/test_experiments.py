@@ -44,7 +44,7 @@ from optbench.experiments import (
     sweep_heatmap,
     trajectory_experiment,
 )
-from optbench.linalg import project_box, sym_eigh
+from optbench.linalg import project_box, set_blas_threads, sym_eigh
 from optbench.optim import Optimizer, OptimizerConfig
 from optbench.problems import (
     RANK_CUTOFF,
@@ -771,15 +771,20 @@ class TestDependenceInputs:
             dependence_experiment(0, **params)
 
 
-def counting_full_loss(monkeypatch) -> list:
-    """Count the engine's calls of full_loss; returns the one-entry counter."""
-    calls = [0]
+def counting_stop_losses(monkeypatch) -> list:
+    """Count the losses the engine's stop test forms, its only _regret calls
+    with the scalar centre 0 (one per problem with rows over their limit);
+    returns the counter [calls, rows].  The engine never calls full_loss."""
+    calls = [0, 0]
+    regret = experiments._regret
 
-    def full_loss(problem, theta):
-        calls[0] += 1
-        return problems.full_loss(problem, theta)
+    def counted(x, theta, centre, offset):
+        if np.ndim(centre) == 0:
+            calls[0] += 1
+            calls[1] += len(theta)
+        return regret(x, theta, centre, offset)
 
-    monkeypatch.setattr(experiments, "full_loss", full_loss)
+    monkeypatch.setattr(experiments, "_regret", counted)
     return calls
 
 
@@ -795,10 +800,10 @@ class TestBatchStopRule:
         rows = [BatchRow(k, algo, OptimizerConfig(eta=eta),
                          derive_rng(k, 2, i_opt).integers(40, size=300))
                 for k in range(3) for i_opt, (algo, eta) in enumerate(roster)]
-        calls = counting_full_loss(monkeypatch)
+        calls = counting_stop_losses(monkeypatch)
         result = run_batch(probs, theta0, rows, 300)
         assert not result.stopped.any() and np.isfinite(result.final_loss).all()
-        assert calls[0] == 0   # the finals are the regret, formed without full_loss
+        assert calls == [0, 0]   # the finals are the regret, formed apart from the stop test
 
     def test_a_bound_over_the_cap_falls_back_to_the_exact_loss(self, monkeypatch):
         # A null direction of a rank-deficient problem: a component of 1e30
@@ -813,10 +818,10 @@ class TestBatchStopRule:
         rows = [BatchRow(0, algo, OptimizerConfig(eta=eta),
                          derive_rng(0, 2, i).integers(40, size=steps))
                 for i, (algo, eta) in enumerate(algos)]
-        calls = counting_full_loss(monkeypatch)
+        calls = counting_stop_losses(monkeypatch)
         result = run_batch([p], theta0[None], rows, steps)
-        # every step rechecked; the finals are formed without full_loss
-        assert p.theta_star is None and calls[0] == len(rows) * steps
+        # every row rechecked every step, in one stacked loss; the finals apart
+        assert p.theta_star is None and calls == [steps, len(rows) * steps]
         assert not result.stopped.any()
         bound = 0.5 * (np.linalg.norm(p.x) * np.linalg.norm(theta0) + np.linalg.norm(p.y)) ** 2
         assert bound >= experiments.SCREEN_CAP
@@ -838,9 +843,9 @@ class TestBatchStopRule:
         steps = 200
         algos = (("sgd", 0.1), ("adam", 0.1), ("adasgd", 0.01))
         rows = [BatchRow(0, algo, OptimizerConfig(eta=eta)) for algo, eta in algos]
-        calls = counting_full_loss(monkeypatch)
+        calls = counting_stop_losses(monkeypatch)
         result = run_batch([p], theta0[None], rows, steps)
-        assert p.theta_star is None and calls[0] == len(rows) * steps
+        assert p.theta_star is None and calls == [steps, len(rows) * steps]
         assert not result.stopped.any()
         monkeypatch.undo()
         for i, (algo, eta) in enumerate(algos):
@@ -937,7 +942,7 @@ class TestScreenedStops:
 
 
 class TestExactRows:
-    """Rows under their limit need no loss to stop: full_loss never runs,
+    """Rows under their limit need no loss to stop: the stop test forms none,
     whether the rows are full-gradient or recorded, and the recorded losses
     equal the reference loop's regret-in-loss bit for bit."""
 
@@ -949,10 +954,10 @@ class TestExactRows:
         rows = [BatchRow(k, algo, OptimizerConfig(eta=eta),
                          derive_rng(k, 2, i_opt).integers(40, size=200) if stochastic else None)
                 for k in range(2) for i_opt, (algo, eta) in enumerate(roster)]
-        calls = counting_full_loss(monkeypatch)
+        calls = counting_stop_losses(monkeypatch)
         result = run_batch(probs, theta0, rows, 200, record=record)
         assert not result.stopped.any() and np.isfinite(result.final_loss).all()
-        assert calls[0] == 0
+        assert calls == [0, 0]
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 300), d=st.integers(1, 100), log_scale=st.floats(-5.0, 5.0),
@@ -1013,10 +1018,12 @@ class TestRegretInLoss:
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool sizes asked for and
-    maps in this process, so no process is started."""
+    """Stands in for ProcessPoolExecutor: records the pool sizes asked for,
+    checks that each worker is set to one BLAS thread, and maps in this
+    process, so no process is started."""
 
-    def __init__(self, sizes: list, max_workers: int):
+    def __init__(self, sizes: list, max_workers: int, initializer=None, initargs=()):
+        assert (initializer, initargs) == (set_blas_threads, (1,))
         sizes.append(max_workers)
 
     def __enter__(self):
@@ -1037,7 +1044,7 @@ class TestSweeps:
                                                         pools):
         sizes = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda max_workers: RecordingPool(sizes, max_workers))
+                            lambda **pool: RecordingPool(sizes, **pool))
         assert experiments._map_cells(abs, list(range(-items, 0)), workers) == \
             list(range(items, 0, -1))
         assert sizes == pools
@@ -1047,7 +1054,7 @@ class TestSweeps:
         serial = sweep_heatmap(5, **grid, workers=1)
         sizes = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda max_workers: RecordingPool(sizes, max_workers))
+                            lambda **pool: RecordingPool(sizes, **pool))
         assert sweep_heatmap(5, **grid, workers=64) == serial
         assert sizes == []
 

@@ -3,7 +3,8 @@ raises anything but UsageError, any argv ends in an exit code of the 0/1/2/3
 contract (with every runner stubbed, and again with each real runner at a tiny
 size on junk numbers), AdaSGDMax's eta_t never increases, box projection is
 idempotent, serialized problems round-trip bit for bit, the loss never exceeds
-the norm bound the batch engine's stop rule relies on, the numpy Spearman
+the norm bound the batch engine's stop rule relies on, the engine's stacked
+stop-test loss rounds as full_loss does row by row, the numpy Spearman
 equals SciPy's on tied and untied inputs, AdaSGD's final distance to the
 optimum stays within its bound on generated deterministic quadratics, and the
 rules with one global rate commute with rotations while all six commute with
@@ -258,6 +259,23 @@ def test_theta_under_the_screen_limit_has_its_loss_under_the_cap(d, n, log_lambd
     theta *= np.sqrt(lim) * scale / np.linalg.norm(theta)
     assume(theta @ theta < lim)
     assert full_loss(p, theta) < experiments.LOSS_CAP
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(1, 100), rows=st.integers(1, 6),
+       log_x=st.floats(-3.0, 3.0), log_scale=st.floats(-5.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_stacked_stop_loss_equals_full_loss_bit_for_bit(n, d, rows, log_x, log_scale,
+                                                            seed):
+    # The batch engine's stop test forms the raw loss of one problem's rows
+    # over their limit as one _regret call on its slice of the stacked data.
+    rng = np.random.default_rng(seed)
+    probs = [problem_from_data(10.0 ** log_x * rng.standard_normal((n, d)),
+                               rng.standard_normal(n)) for _ in range(2)]
+    xs, ys = np.stack([p.x for p in probs]), np.stack([p.y for p in probs])
+    theta = 10.0 ** log_scale * rng.standard_normal((rows, d))
+    stacked = experiments._regret(xs[1], theta, 0.0, ys[1])
+    assert stacked.tobytes() == np.array([full_loss(probs[1], t) for t in theta]).tobytes()
 
 
 # Tiny sizes for the real runners; the fuzz below overrides some of these keys.
