@@ -171,11 +171,16 @@ def emit_csv(records: list[dict], fieldnames: list[str], path: str) -> str:
     for rec in records:
         lines.append(",".join(_format_cell(rec[name]) for name in fieldnames))
     content = ("\n".join(lines) + "\n").encode("utf-8")
+    _write_atomic(path, content)
+    return hashlib.sha256(content).hexdigest()
+
+
+def _write_atomic(path: str, content: bytes) -> None:
+    """Write content to path via a temp file and atomic rename."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(content)
     os.replace(tmp, path)
-    return hashlib.sha256(content).hexdigest()
 
 
 def dispatch(subcommand: str, params: dict, *, seed: int, workers: int, out_dir: str,
@@ -185,7 +190,7 @@ def dispatch(subcommand: str, params: dict, *, seed: int, workers: int, out_dir:
     extra = {"workers": workers} if "workers" in inspect.signature(runner).parameters else {}
     try:
         result = runner(seed, **params, **extra)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result, failures = result if command.checks else (result, [])
@@ -205,11 +210,8 @@ def dispatch(subcommand: str, params: dict, *, seed: int, workers: int, out_dir:
             "code_version": __version__,
             "files": checksums,
         }
-        tmp = os.path.join(out_dir, "manifest.json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+        _write_atomic(os.path.join(out_dir, "manifest.json"),
+                      (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -212,33 +212,24 @@ def project_box(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 
 
 @functools.cache
-def _openblas_thread_calls() -> tuple:
-    """The (set, get) thread-count calls of each OpenBLAS library mapped into
-    the process at the first call, in path order.  The libraries are found
-    by name in /proc/self/maps, so numpy's is found whatever its wheel calls
-    the file; without that file there are none."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return ()
-    calls = []
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
-        names = next((pair for pair in OPENBLAS_THREAD_CALLS if hasattr(handle, pair[0])), None)
-        if names is not None:
-            calls.append(tuple(getattr(handle, name) for name in names))
-    return tuple(calls)
+def _openblas_thread_calls() -> tuple | None:
+    """The (set, get) thread-count calls of numpy's BLAS, or None where it
+    is not OpenBLAS.  A symbol lookup on numpy's core extension module also
+    searches the libraries it links, so this finds numpy's OpenBLAS whatever
+    its wheel calls the file."""
+    handle = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    names = next((pair for pair in OPENBLAS_THREAD_CALLS if hasattr(handle, pair[0])), None)
+    return None if names is None else tuple(getattr(handle, name) for name in names)
 
 
 def set_blas_threads(count: int) -> int | None:
-    """Run every OpenBLAS library the process had loaded at the first call
-    on count threads; return the first one's previous count, or None when
-    there is none (then this does nothing)."""
+    """Run numpy's OpenBLAS, found through numpy's core extension module, on
+    count threads and return its previous count; return None and do nothing
+    where numpy's BLAS is not OpenBLAS."""
     calls = _openblas_thread_calls()
-    if not calls:
+    if calls is None:
         return None
-    previous = int(calls[0][1]())
-    for set_threads, _ in calls:
-        set_threads(count)
+    set_threads, get_threads = calls
+    previous = int(get_threads())
+    set_threads(count)
     return previous

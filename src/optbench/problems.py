@@ -112,13 +112,7 @@ def _spectrum(spec: GenSpec) -> np.ndarray:
     if lmin > 0:
         return np.geomspace(lmax, lmin, d)
     zeros = max(1, d - spec.n)
-    nonzeros = d - zeros
-    if nonzeros < 1:
-        raise ValueError("spectrum has no room for a positive eigenvalue")
-    if nonzeros == 1:
-        head = np.array([lmax])
-    else:
-        head = np.geomspace(lmax, ZERO_SPECTRUM_FLOOR * lmax, nonzeros)
+    head = np.geomspace(lmax, ZERO_SPECTRUM_FLOOR * lmax, d - zeros)
     return np.concatenate([head, np.zeros(zeros)])
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import functools
 import hashlib
 import importlib.util
@@ -22,7 +23,7 @@ from optbench.cli import (
     resolve_params,
 )
 from optbench.experiments import sweep_angle
-from optbench.linalg import set_blas_threads
+from optbench.linalg import OPENBLAS_THREAD_CALLS, set_blas_threads
 from optbench.optim import Optimizer
 
 NO_OPENBLAS = "no OpenBLAS is loaded: numpy's BLAS is another library, and runs keep its threads"
@@ -81,6 +82,49 @@ class TestBlasThreads:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         assert experiments._map_cells(set_blas_threads, [1, 1], 2) == [1, 1]
         assert set_blas_threads(2) == 2
+
+
+def maps_thread_count():
+    """The thread-count getter of the OpenBLAS that /proc/self/maps lists
+    under numpy.libs, found by name as a scan of the maps would find it;
+    skips where there is no /proc or no such library."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line and "numpy.libs" in line}
+    except OSError:
+        pytest.skip("no /proc/self/maps to list the mapped libraries")
+    if len(libs) != 1:
+        pytest.skip("no OpenBLAS under numpy.libs: numpy's BLAS came from elsewhere")
+    handle = ctypes.CDLL(libs.pop())
+    return next(getattr(handle, get) for set_, get in OPENBLAS_THREAD_CALLS
+                if hasattr(handle, set_))
+
+
+class TestBlasLookup:
+    """set_blas_threads finds numpy's OpenBLAS through numpy itself, not by
+    reading the process's memory map, and it is that library it sets."""
+
+    def test_found_without_reading_the_memory_map(self, two_blas_threads):
+        # The fixture skips where this process has no OpenBLAS to find.
+        code = ("import builtins\n"
+                "real_open = builtins.open\n"
+                "def guarded(file, *args, **kwargs):\n"
+                "    if str(file) == '/proc/self/maps':\n"
+                "        raise OSError('maps unreadable')\n"
+                "    return real_open(file, *args, **kwargs)\n"
+                "builtins.open = guarded\n"
+                "import optbench.linalg as linalg\n"
+                "print(linalg.set_blas_threads(1), linalg.set_blas_threads(1))\n")
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        previous, now = proc.stdout.split()
+        assert previous.isdigit() and now == "1"
+
+    def test_sets_the_openblas_mapped_under_numpy_libs(self, two_blas_threads):
+        get_threads = maps_thread_count()
+        assert get_threads() == 2
+        assert set_blas_threads(1) == 2
+        assert get_threads() == 1
 
 
 class TestResolveParams:
@@ -563,6 +607,19 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("sub", ["trajectory", "regret"])
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch, sub):
+        # A plain runner and a checks runner; a real huge allocation could
+        # fill the machine under memory overcommit, so the runner fakes it.
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 800. TiB for an array")
+
+        monkeypatch.setattr(experiments, COMMANDS[sub].runner, too_big)
+        out = tmp_path / "out"
+        assert main([sub, "--seed", "1", "--out", str(out), "--workers", "1"]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 800. TiB for an array\n"
+        assert not out.exists()
 
     def test_library_and_cli_write_the_same_bytes(self, tmp_path, capsys):
         assert main(["angle", "--seed", "6", "--out", str(tmp_path / "cli"), "--workers", "1",

@@ -97,6 +97,13 @@ class TestGeneration:
         assert p.theta_star is None
         assert p.cond == np.inf
 
+    @pytest.mark.parametrize("n,d", [(40, 2), (1, 3)])
+    @pytest.mark.parametrize("lmax", [1.0, 5.0, 1e8, 0.3])
+    def test_one_positive_eigenvalue_is_lambda_max_exactly(self, n, d, lmax):
+        spec = GenSpec(n=n, d=d, lambda_max=lmax, lambda_min=0.0)
+        p = generate_least_squares(spec, np.random.default_rng(0))
+        assert p.lam.tobytes() == np.array([lmax] + [0.0] * (d - 1)).tobytes()
+
     def test_inconsistent_spec_rejected(self):
         with pytest.raises(ValueError):
             GenSpec(n=5, d=10, lambda_max=1.0, lambda_min=1.0).validate()
