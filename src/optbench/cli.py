@@ -247,6 +247,19 @@ def _config_entry(doc: dict, key: str, kind: type):
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The --workers processes are the parallelism.  One BLAS thread is set
+    # before the arguments are parsed, so that no idle BLAS worker left from
+    # numpy's import spins while they are.
+    previous = set_blas_threads(1)
+    try:
+        return _run(argv)
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
+
+
+def _run(argv: list[str] | None) -> int:
+    """main's work: parse and resolve argv, then dispatch; the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -291,13 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    previous = set_blas_threads(1)   # the --workers processes are the parallelism
-    try:
-        return dispatch(args.subcommand, params, seed=seed, workers=workers,
-                        out_dir=out_dir, preset=args.preset, applied_overrides=applied)
-    finally:
-        if previous is not None:
-            set_blas_threads(previous)
+    return dispatch(args.subcommand, params, seed=seed, workers=workers,
+                    out_dir=out_dir, preset=args.preset, applied_overrides=applied)
 
 
 def entry() -> None:

@@ -725,10 +725,13 @@ def _map_cells(fn, items: list, workers: int) -> list:
     (d <= 100), so a BLAS thread pool does no useful work on them, yet after
     each threaded call (a Haar QR, an eigh, a product) OpenBLAS's idle
     worker busy-waits for about 135 ms, and each worker process would spin
-    a pool of its own.  On 2 cores at the default BLAS setting,
-    heatmap --preset paper-fig3 --seed 0 took 12.8 s at --workers 1 and 21
-    to 66 s at --workers 2 with a BLAS pool per process; with one thread
-    each, 10.1 s and 5.2 to 5.5 s."""
+    a pool of its own.  Setting one thread also stops the idle workers, in
+    the caller and in each pool process (an idle BLAS worker left running
+    burned 0.063 s of CPU in a 200 ms sleep; a stopped one, none), and
+    OpenBLAS restarts them only for a call that needs more than one thread.
+    On 2 cores at the default BLAS setting, heatmap --preset paper-fig3
+    --seed 0 took 12.8 s at --workers 1 and 21 to 66 s at --workers 2 with a
+    BLAS pool per process; with one thread each, 10.1 s and 5.2 to 5.5 s."""
     processes = min(workers, len(items))
     if processes > 1:
         # imported here: it loads multiprocessing, which a one-worker call never uses

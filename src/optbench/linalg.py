@@ -8,6 +8,8 @@ against.  All three reject NaN and infinite input with ValueError.
 
 Everything here but set_blas_threads is a pure function of its inputs (plus
 an explicitly passed seeded generator where randomness is involved).
+set_blas_threads sets the thread count of numpy's OpenBLAS and stops the
+pool's idle workers, which OpenBLAS restarts when a call next needs them.
 """
 
 from __future__ import annotations
@@ -213,23 +215,36 @@ def project_box(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 
 @functools.cache
 def _openblas_thread_calls() -> tuple | None:
-    """The (set, get) thread-count calls of numpy's BLAS, or None where it
-    is not OpenBLAS.  A symbol lookup on numpy's core extension module also
-    searches the libraries it links, so this finds numpy's OpenBLAS whatever
-    its wheel calls the file."""
+    """The (set, get, shutdown) thread calls of numpy's BLAS, or None where it
+    is not OpenBLAS; shutdown is None where the library does not export
+    blas_thread_shutdown_.  A symbol lookup on numpy's core extension module
+    also searches the libraries it links, so this finds numpy's OpenBLAS
+    whatever its wheel calls the file."""
     handle = ctypes.CDLL(np._core._multiarray_umath.__file__)
     names = next((pair for pair in OPENBLAS_THREAD_CALLS if hasattr(handle, pair[0])), None)
-    return None if names is None else tuple(getattr(handle, name) for name in names)
+    if names is None:
+        return None
+    return (*(getattr(handle, name) for name in names),
+            getattr(handle, "blas_thread_shutdown_", None))
 
 
 def set_blas_threads(count: int) -> int | None:
     """Run numpy's OpenBLAS, found through numpy's core extension module, on
     count threads and return its previous count; return None and do nothing
-    where numpy's BLAS is not OpenBLAS."""
+    where numpy's BLAS is not OpenBLAS.
+
+    Then stop the pool's idle workers, where the library exports
+    blas_thread_shutdown_: an idle OpenBLAS worker busy-waits for about
+    135 ms after each threaded call, and one left over from before a drop
+    to one thread would spin on another core.  OpenBLAS starts its workers
+    again by itself when a later call needs more than one thread.  Call it
+    while no other thread of the process is inside a BLAS call."""
     calls = _openblas_thread_calls()
     if calls is None:
         return None
-    set_threads, get_threads = calls
+    set_threads, get_threads, shutdown = calls
     previous = int(get_threads())
     set_threads(count)
+    if shutdown is not None:
+        shutdown()
     return previous

@@ -84,6 +84,67 @@ class TestBlasThreads:
         assert set_blas_threads(2) == 2
 
 
+# Counts this interpreter's threads at each step: after numpy's import, after
+# optbench's, after dropping to one BLAS thread, after restoring two, after a
+# product large enough to be threaded, inside a cli.main run and after it.
+# Prints a line starting "skip:" where there is nothing to count.
+COUNT_BLAS_WORKERS = """
+import json, os, sys
+import numpy as np
+
+def tasks():
+    return len(os.listdir("/proc/self/task"))
+
+def skip(reason):
+    print("skip:", reason)
+    sys.exit()
+
+if not os.path.isdir("/proc/self/task"):
+    skip("no /proc/self/task to count the threads")
+seen = [tasks()]
+if seen[0] == 1:
+    skip("OpenBLAS started no worker thread at numpy's import")
+from optbench import cli, experiments, linalg
+seen.append(tasks())
+calls = linalg._openblas_thread_calls()
+if calls is None:
+    skip("no OpenBLAS is loaded")
+if calls[2] is None:
+    skip("this OpenBLAS does not export blas_thread_shutdown_")
+linalg.set_blas_threads(1)
+seen.append(tasks())
+linalg.set_blas_threads(2)
+seen.append(tasks())
+a = np.ones((1000, 1000))
+a @ a
+seen.append(tasks())
+
+def runner(master_seed, *, workers):
+    seen.append(tasks())
+    return []
+
+experiments.sweep_heatmap = runner
+code = cli.main(["heatmap", "--seed", "0", "--out", sys.argv[1], "--workers", "1"])
+seen.append(tasks())
+print(json.dumps([code, seen]))
+"""
+
+
+class TestIdleBlasWorkers:
+    """Dropping to one BLAS thread stops OpenBLAS's idle workers, which would
+    otherwise busy-wait on another core; OpenBLAS starts them again when a
+    call needs more than one thread.  The oracle is the process's thread
+    count, so nothing is timed."""
+
+    def test_one_thread_leaves_no_worker_and_a_threaded_call_restarts_it(self, tmp_path):
+        proc = fresh_python("-c", COUNT_BLAS_WORKERS, str(tmp_path), OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.startswith("skip:"):
+            pytest.skip(proc.stdout.strip())
+        # numpy, optbench, set 1, set 2, threaded product, inside a run, after it
+        assert json.loads(proc.stdout) == [0, [2, 2, 1, 1, 2, 1, 1]]
+
+
 def maps_thread_count():
     """The thread-count getter of the OpenBLAS that /proc/self/maps lists
     under numpy.libs, found by name as a scan of the maps would find it;

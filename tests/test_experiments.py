@@ -396,6 +396,28 @@ class TestRegretBatch:
         rows, _ = check_regret_bound(5, t_values=(1, 40), d=3, seeds=3, **params)
         assert rows == reference_regret_rows(5, (1, 40), 3, seeds=3, **params)
 
+    def test_corollary_schedule_runs_apart_from_the_theorem_schedule(self):
+        # At d = 9 the corollary's eta factor D_inf / (G_inf sqrt(d)) is 2/3
+        # on linear-adversarial and 1/3 on quadratic-tracking.  At the desk's
+        # d = 4 it is exactly 1 on linear-adversarial, whose corollary rows
+        # there copy its theorem rows.
+        d, t_values = 9, (10, 100, 1000)
+        for kind, factor in zip(problems.ONLINE_KINDS, (2 / 3, 1 / 3)):
+            problem = problems.make_online_problem(kind, 1, d, 1.0, 1.0, derive_rng(0))
+            assert corollary_eta(1.0, problem, d) == factor
+        rows, failures = check_regret_bound(0, t_values=t_values, d=d, seeds=2)
+        assert failures == []
+        assert all(r["ok"] for r in rows)
+        assert rows == reference_regret_rows(0, t_values, d, seeds=2)
+        by_schedule = {s: [r for r in rows if r["schedule"] == s]
+                       for s in ("theorem", "corollary")}
+        assert {r["kind"] for r in by_schedule["corollary"]} == set(problems.ONLINE_KINDS)
+        for theorem, corollary in zip(by_schedule["theorem"], by_schedule["corollary"]):
+            key = ("kind", "seed", "horizon")
+            assert [theorem[k] for k in key] == [corollary[k] for k in key]
+            assert corollary["regret"] != theorem["regret"]
+            assert corollary["bound"] != theorem["bound"]
+
     def test_trend_failure_prints_plain_floats(self, monkeypatch):
         # A bound linear in T keeps B_T/T flat, which the trend check rejects.
         monkeypatch.setattr(experiments, "_regret_bound", lambda *args: np.float64(args[5]))
