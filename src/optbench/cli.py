@@ -154,7 +154,21 @@ def resolve_params(subcommand: str, preset: str | None, file_params: dict,
     return params, applied
 
 
+# Cell formatters by exact type, tried before _format_cell's isinstance
+# chain; np.float64 subclasses float, so float.__repr__ prints it as a float.
+_CELL_FORMATS = {
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    float: float.__repr__,
+    np.float64: float.__repr__,
+    str: str,
+}
+
+
 def _format_cell(value) -> str:
+    fmt = _CELL_FORMATS.get(type(value))
+    if fmt is not None:
+        return fmt(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

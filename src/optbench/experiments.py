@@ -1139,23 +1139,66 @@ class StabilityReport:
 def swap_change(
     x: np.ndarray,
     y: np.ndarray,
-    i: int,
-    new_row: np.ndarray,
-    new_y: float,
+    rows: list[int],
+    new_rows: np.ndarray,
+    new_ys: np.ndarray,
     q: np.ndarray,
     lam: np.ndarray,
     theta: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Change of the exact solution when row i is replaced, expressed in the
-    eigenbasis of the ORIGINAL X.T X: (|Q (theta - theta_swapped)|,
-    lambda_j * (Q (theta_swapped - theta))_j^2)."""
-    x_swap = x.copy()
-    y_swap = y.copy()
-    x_swap[i] = new_row
-    y_swap[i] = new_y
-    theta_swap = lstsq_min_norm(x_swap, y_swap)
-    diff = q @ (theta - theta_swap)
-    return np.abs(diff), lam * diff ** 2
+    """Change of the exact solution under each of S single-row swaps of one
+    pool, in the eigenbasis of the ORIGINAL X.T X.  Swap s replaces row
+    rows[s] of (x, y) by (new_rows[s], new_ys[s]); (q, lam) = sym_eigh(x.T @ x)
+    and theta = lstsq_min_norm(x, y, eig=(q, lam)).  Returns two (S, d)
+    arrays whose row s is |Q (theta - theta_s)| and
+    lambda_j * (Q (theta_s - theta))_j^2.
+
+    A swap of row u for row w adds w w.T - u u.T to X.T X.  In the kept
+    eigenbasis Q_K (eigenvalues Lambda), Woodbury's identity gives
+    Q_K (theta_s - theta) = Lambda^-1 U S^-1 e with U = Q_K [u, w],
+    S = diag(-1, 1) + U.T Lambda^-1 U and e = (y_u - u.theta, y_w - w.theta):
+    no Gram product, copy of x or eigensolve.  A swap takes this update only
+    when it provably matches the re-solve: every direction but the exactly
+    zero columns of x (the axes sym_eigh deflates) is kept by RANK_CUTOFF, w
+    is zero on those columns, and S is invertible with
+    (1/lambda_min + ||Lambda^-1 U||_F^2 ||S^-1||_F) RANK_CUTOFF
+    (lambda_max + ||w||^2) < 1, so by Woodbury and Weyl the swapped Gram has
+    no eigenvalue under the cutoff either.  Any other swap re-solves: copy x,
+    replace the row, lstsq_min_norm.  A swap that leaves the row and target
+    as they were changes nothing, exactly."""
+    rows = np.asarray(rows, dtype=np.intp)
+    u, w = x[rows], new_rows
+    y_u, y_w = y[rows], new_ys
+    abs_change = np.zeros((rows.size, x.shape[1]))
+    loss_change = np.zeros_like(abs_change)
+    same = (u == w).all(axis=1) & (y_u == y_w)
+    fast = np.zeros_like(same)
+    keep = lam > RANK_CUTOFF * lam[0]
+    dead = ~x.any(axis=0)
+    if lam[0] > 0 and keep.sum() + dead.sum() == lam.size:
+        lk = lam[keep]
+        ut, wt = u @ q[keep].T, w @ q[keep].T
+        lu, lw = ut / lk, wt / lk
+        s11, s12, s22 = np.vecdot(ut, lu) - 1.0, np.vecdot(ut, lw), np.vecdot(wt, lw) + 1.0
+        det = s11 * s22 - s12 * s12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_inv = np.sqrt(s11 * s11 + 2.0 * s12 * s12 + s22 * s22) / np.abs(det)
+            bound = ((1.0 / lk[-1] + (np.vecdot(lu, lu) + np.vecdot(lw, lw)) * s_inv)
+                     * RANK_CUTOFF * (lam[0] + np.vecdot(w, w)))
+            fast = ~same & ~w[:, dead].any(axis=1) & (bound < 1.0)
+            e_u, e_w = (y_u - u @ theta) / det, (y_w - w @ theta) / det
+            step = (lu * (s22 * e_u - s12 * e_w)[:, None]
+                    + lw * (s11 * e_w - s12 * e_u)[:, None])[fast]
+        abs_change[np.ix_(fast, keep)] = np.abs(step)
+        loss_change[np.ix_(fast, keep)] = lk * step ** 2
+    for s in np.flatnonzero(~(same | fast)):
+        x_swap = x.copy()
+        y_swap = y.copy()
+        x_swap[rows[s]] = w[s]
+        y_swap[rows[s]] = y_w[s]
+        diff = q @ (theta - lstsq_min_norm(x_swap, y_swap))
+        abs_change[s], loss_change[s] = np.abs(diff), lam * diff ** 2
+    return abs_change, loss_change
 
 
 def stability_swap(
@@ -1175,7 +1218,10 @@ def stability_swap(
     Rows are iid N(0, Q.T diag(row_spectrum) Q) with a log-spaced spectrum.
     With rank r < d the trailing spectrum entries are exactly zero and the
     basis is axis-aligned, so zero-eigenvalue directions carry exactly zero
-    change by construction.
+    change by construction.  The pool is eigendecomposed once; each swap
+    replaces row int(rng.integers(n)), one draw per swap, by the next of
+    `swaps` extra rows, and swap_change takes all of them in one call (a
+    rank-2 update per swap where it provably matches a re-solve).
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
@@ -1197,18 +1243,12 @@ def stability_swap(
     x, y = x_all[:n], y_all[:n]
     q, lam = sym_eigh(x.T @ x)
     theta = lstsq_min_norm(x, y, eig=(q, lam))
-    abs_sum = np.zeros(d)
-    loss_sum = np.zeros(d)
-    for k in range(swaps):
-        i = int(rng.integers(n))
-        abs_change, loss_change = swap_change(x, y, i, x_all[n + k], y_all[n + k],
-                                              q, lam, theta)
-        abs_sum += abs_change
-        loss_sum += loss_change
+    rows = [int(rng.integers(n)) for _ in range(swaps)]
+    abs_change, loss_change = swap_change(x, y, rows, x_all[n:], y_all[n:], q, lam, theta)
     return StabilityReport(
         eigenvalues=lam,
-        mean_abs_change=abs_sum / swaps,
-        mean_loss_change=loss_sum / swaps,
+        mean_abs_change=abs_change.sum(axis=0) / swaps,
+        mean_loss_change=loss_change.sum(axis=0) / swaps,
         swaps=swaps,
     )
 

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import optbench.experiments as experiments
@@ -397,34 +397,49 @@ def transformed_drift(problem, q, theta0, algos, steps, indices):
                                                                                     axis=1)
 
 
-@st.composite
-def equivariance_cases(draw):
-    """A full-rank problem, a start and a sample stream (or None)."""
-    d = draw(st.integers(2, 12))
-    n = draw(st.integers(d, 4 * d))
-    log_cond, seed = draw(st.floats(0.0, 3.0)), draw(st.integers(0, 2**32 - 1))
-    steps = draw(st.integers(1, 200))
+def equivariance_case(d, n, log_cond, seed, steps, sampled):
+    """A full-rank problem, a start, the step count, a sample stream (or None)
+    and the generator the transform is drawn from."""
     problem = generate_least_squares(
         GenSpec(n=n, d=d, lambda_max=1.0, lambda_min=10.0 ** -log_cond), derive_rng(seed, 0))
     rng = derive_rng(seed, 1)
-    indices = rng.integers(n, size=steps) if draw(st.booleans()) else None
+    indices = rng.integers(n, size=steps) if sampled else None
     return problem, rng.standard_normal(d), steps, indices, rng
 
 
+@st.composite
+def equivariance_cases(draw):
+    d = draw(st.integers(2, 12))
+    n = draw(st.integers(d, 4 * d))
+    log_cond, seed = draw(st.floats(0.0, 3.0)), draw(st.integers(0, 2**32 - 1))
+    return equivariance_case(d, n, log_cond, seed, draw(st.integers(1, 200)), draw(st.booleans()))
+
+
 # Measured drift stays under 0.5 eps per step; the bound leaves a factor 8.
-def drift_bound(steps):
-    return 4 * steps * np.finfo(float).eps
+# A rotation adds rounding of its own, once, in Q theta0 and X Q.T, and a
+# global rate divides by ||g||, which magnifies that rounding where the
+# gradient's terms cancel.  Over 26,500 drawn cases (24,000 of them with
+# d <= 3 and steps <= 3) the largest (drift / eps - 4 steps) / d was 305.5;
+# ROTATION_DRIFT leaves a factor 2.
+ROTATION_DRIFT = 640
+
+
+def drift_bound(steps, rotated_d=0):
+    return (4 * steps + ROTATION_DRIFT * rotated_d) * np.finfo(float).eps
 
 
 @settings(max_examples=20, deadline=None)
 @given(case=equivariance_cases())
+# sgd drifted 3.04e-15 here, over the 1.78e-15 of the bound without the
+# rotation term: d = n = 2, cond 10, 2 sampled steps.
+@example(case=equivariance_case(2, 2, 1.0, 13608, 2, True))
 def test_global_rate_rules_commute_with_rotations(case):
     # Their step is linear in g and their rate depends on g only through
     # ||g||, which a rotation keeps.
     problem, theta0, steps, indices, rng = case
     q = haar_orthogonal(problem.d, rng)
     drift = transformed_drift(problem, q, theta0, GLOBAL_RATE, steps, indices)
-    assert (drift <= drift_bound(steps)).all(), drift
+    assert (drift <= drift_bound(steps, problem.d)).all(), drift
 
 
 @settings(max_examples=20, deadline=None)
