@@ -167,18 +167,34 @@ def _parts(opts: list[Optimizer]) -> list[tuple[Optimizer, slice]]:
     return [(opt, slice(end - len(opt.eta), end)) for opt, end in zip(opts, ends) if len(opt.eta)]
 
 
+def _stacked(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    """np.stack(parts, axis), or, when the parts are already the consecutive
+    slots of one array along its first axis (as _draw and _roster_rows leave
+    a group's data and indices), that array with its first axis moved to
+    axis: the same values, not copied."""
+    base = parts[0].base
+    if (isinstance(base, np.ndarray) and base.shape == (len(parts), *parts[0].shape)
+            and all(p.base is base and p.strides == base.strides[1:]
+                    and p.ctypes.data == base.ctypes.data + k * base.strides[0]
+                    for k, p in enumerate(parts))):
+        return np.moveaxis(base, 0, axis)
+    return np.stack(parts, axis=axis)
+
+
 def _screen_limits(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The screen's limit on theta . theta for each problem of the stacked
-    (P, n, d) xs and (P, n) ys: lim = ((sqrt(2 SCREEN_CAP) - ||y||) / ||X||_F)^2.
+    (P, n, d) xs and (P, n) ys: lim = (sqrt(2 SCREEN_CAP) - ||y||)^2 / ||X||_F^2.
     theta . theta < lim gives ||X||_F ||theta|| + ||y|| < sqrt(2 SCREEN_CAP),
     so the loss 0.5 ||X theta - y||^2 <= 0.5 (||X||_F ||theta|| + ||y||)^2 is
     under SCREEN_CAP; the factor 2 left below LOSS_CAP covers the rounding of
     lim, of theta . theta and of the loss.  A NaN or negative root makes lim 0,
     and a NaN norm makes it NaN: no theta passes either, so every step of the
-    problem's rows gets the exact loss."""
+    problem's rows gets the exact loss.  The squared norms are dot products
+    over each problem's flattened data, with no temporary of its size."""
+    flat = xs.reshape(len(xs), -1)
     with np.errstate(all="ignore"):
-        root = np.sqrt(2 * SCREEN_CAP) - np.linalg.norm(ys, axis=1)
-        return np.where(root > 0, (root / np.linalg.norm(xs, axis=(1, 2))) ** 2, 0.0)
+        root = np.sqrt(2 * SCREEN_CAP) - np.sqrt(np.vecdot(ys, ys))
+        return np.where(root > 0, root ** 2 / np.vecdot(flat, flat), 0.0)
 
 
 def run_batch(
@@ -202,8 +218,12 @@ def run_batch(
     stacked product, which rounds as full_gradient does on each row.  The
     rows of a batch all carry indices or none do.  Rows whose configs differ
     only in eta step as one Optimizer, which updates its slice of the (B, d)
-    parameters in place; rows of a problem share its data.  Sampled rows
-    gather their x_i and y_i CHUNK_STEPS steps at a time, with one index.
+    parameters in place; rows of a problem share its data, which the batch
+    stacks once (or reads as is when the problems' X and y are already the
+    slots of one array, see _stacked).  Sampled rows take their x_i and y_i
+    CHUNK_STEPS steps at a time from the flattened (P n, d) data into one
+    buffer, which a stop re-takes for the rows left; g and the optimizers'
+    views of it are made once per set of live rows.
 
     One predicate decides every stop: a row stops, and leaves the work,
     after the step whose theta . theta is not under its problem's limit (see
@@ -239,14 +259,14 @@ def run_batch(
     if any(row.indices is not None for row in rows):
         if any(row.indices is None or len(row.indices) < steps for row in rows):
             raise ValueError("every row needs one sample index per step, or none does")
-        samples = np.stack([row.indices[:steps] for row in rows], axis=1)   # (steps, rows)
+        samples = _stacked([row.indices[:steps] for row in rows], axis=1)   # (steps, rows)
         if samples.min() < 0 or samples.max() >= n:
             raise ValueError(f"sample indices must lie in [0, {n})")
-    xs = np.stack([p.x for p in problems])
-    ys = np.stack([p.y for p in problems])
-    # _regret's centre and offset: (theta*, 0), or (0, y) without an optimum
+    xs = _stacked([p.x for p in problems])
+    ys = _stacked([p.y for p in problems])
+    # _regret's centre and offset: (theta*, 0), or (0, y) where raw (no optimum)
     centres = np.stack([np.zeros(d) if p.theta_star is None else p.theta_star for p in problems])
-    offsets = np.stack([p.y if p.theta_star is None else np.zeros(n) for p in problems])
+    raw = np.array([p.theta_star is None for p in problems])
     blocks: dict[tuple, list[int]] = {}
     for i, row in enumerate(rows):
         blocks.setdefault((row.algo, replace(row.config, eta=1.0)), []).append(i)
@@ -265,22 +285,37 @@ def run_batch(
     if snapshot_stride:
         snaps = np.full((1 + steps // snapshot_stride, len(rows), d), np.nan)
         snaps[0, ids] = theta
-    inv_n = 1.0 / n
     if gathered := samples is None or record:   # each live row's data, for X.T r or _regret
-        x, y, centre, offset = xs[pid], ys[pid], centres[pid], offsets[pid]
+        x, y, centre = xs[pid], ys[pid], centres[pid]
+        offset = np.where(raw[pid, None], y, 0.0)
+    if samples is not None:   # a chunk's x_i and y_i, taken by row of the flattened data
+        flat_x, flat_y = xs.reshape(-1, d), ys.reshape(-1)
+        x_buf, y_buf = np.empty(CHUNK_STEPS * len(ids) * d), np.empty(CHUNK_STEPS * len(ids))
+    fresh = True   # a new set of live rows
     with np.errstate(all="ignore"):   # a non-finite theta fails the screen and stops its run
         for t in range(steps):
+            if fresh:   # g, the optimizers' views of it, the residual and the chunk
+                g = np.empty((len(ids), d))
+                views = [(opt, theta[part], g[part]) for opt, part in parts]
+                if samples is not None:   # the buffers' first rows, contiguous
+                    res = np.empty(len(g))
+                    xc = x_buf[:CHUNK_STEPS * g.size].reshape(CHUNK_STEPS, *g.shape)
+                    yc = y_buf[:CHUNK_STEPS * len(g)].reshape(CHUNK_STEPS, len(g))
             if samples is None:   # X.T (X theta - y)
                 r = (x @ theta[:, :, None])[:, :, 0] - y
-                g = (np.swapaxes(x, 1, 2) @ r[:, :, None])[:, :, 0]
-            else:   # sample_gradient's n * x_i (x_i . theta - y_i), in its rounding
-                if (j := t % CHUNK_STEPS) == 0:
-                    idx = samples[t:t + CHUNK_STEPS, ids]
-                    xc, yc = xs[pid, idx], ys[pid, idx]   # (chunk, rows, d), (chunk, rows)
-                    nxc = n * xc
-                g = nxc[j] * (np.vecdot(xc[j], theta) - yc[j])[:, None] * inv_n
-            for opt, part in parts:
-                opt.update(theta[part], g[part])
+                np.matmul(np.swapaxes(x, 1, 2), r[:, :, None], out=g[:, :, None])
+            else:   # x_i (x_i . theta - y_i)
+                j = t % CHUNK_STEPS
+                if fresh or j == 0:   # the chunk's steps from t on, for the live rows
+                    # checked indices: clip changes none, and spares take a buffered copy
+                    idx = samples[t:t - j + CHUNK_STEPS, ids] + n * pid
+                    np.take(flat_x, idx, axis=0, out=xc[j:j + len(idx)], mode="clip")
+                    np.take(flat_y, idx, out=yc[j:j + len(idx)], mode="clip")
+                np.subtract(np.vecdot(xc[j], theta, out=res), yc[j], out=res)
+                np.multiply(xc[j], res[:, None], out=g)
+            fresh = False
+            for opt, theta_part, g_part in views:
+                opt.update(theta_part, g_part)
             norm2 = np.vecdot(theta, theta)
             if not (clear := (norm2 < lim).all()):   # the raw loss of the rows over their limit
                 stop = ~(norm2 < lim)
@@ -304,16 +339,14 @@ def run_batch(
                 for opt, part in parts:
                     opt.select(keep[part])
                 parts = _parts(opts)
-                ids, pid, theta, lim = ids[keep], pid[keep], theta[keep], lim[keep]
+                ids, pid, theta, lim, fresh = ids[keep], pid[keep], theta[keep], lim[keep], True
                 if gathered:
                     x, y, centre, offset = x[keep], y[keep], centre[keep], offset[keep]
-                if samples is not None:
-                    xc, yc, nxc = xc[:, keep], yc[:, keep], nxc[:, keep]
                 if not ids.size:
                     break
     for p in set(pid.tolist()):   # one problem's X at a time, never a (B, n, d) gather
         live = pid == p
-        final[ids[live]] = _regret(xs[p], theta[live], centres[p], offsets[p])
+        final[ids[live]] = _regret(xs[p], theta[live], centres[p], ys[p] if raw[p] else 0.0)
     stopped[ids] = False
     final_theta[ids] = theta
     traces = None
@@ -703,16 +736,15 @@ HEATMAP_ROSTER = (
 )
 
 
-# Memory budget of one sweep group: each problem's X and y twice (as built,
-# and in the batch's stacked (P, n, d) and (P, n) arrays), each run's sample
-# indices twice (as drawn, and in the batch's (steps, B) array), and each
-# run's gathered chunk (CHUNK_STEPS sampled rows x_i and n x_i, and their
-# y_i).  The problems' eigenfactors (d x d), screen limits, optima and regret
-# offsets (an n-vector each) and the runs' (B, d) optimizer state are not
-# counted.  At the paper-fig3 size (d = 100, n = 300, 3000 steps, 4
-# optimizers) a problem takes about 0.64 MB of it; a desk angle problem about
-# 0.05 MB.
-GROUP_BYTES = 64 * 2**20
+# Memory budget of one sweep group, which holds each byte once: each
+# problem's X and y (drawn into the batch's stacked (P, n, d) and (P, n)
+# arrays), each run's sample indices (one row of the batch's index array),
+# and each run's gathered chunk (CHUNK_STEPS sampled rows x_i and their y_i).
+# The problems' eigenfactors (d x d), screen limits and optima and the runs'
+# (B, d) optimizer state and gradient are not counted.  At the paper-fig3
+# size (d = 100, n = 300, 3000 steps, 4 optimizers) a problem takes about
+# 0.32 MB of it; a desk angle problem about 0.03 MB.
+GROUP_BYTES = 32 * 2**20
 
 
 def _map_cells(fn, items: list, workers: int) -> list:
@@ -744,12 +776,20 @@ def _map_cells(fn, items: list, workers: int) -> list:
 
 def _draw(master_seed: int, specs: list[GenSpec],
           tags: list[tuple]) -> tuple[list[QuadraticProblem], np.ndarray]:
-    """The problems of specs and their starts: problem k, then its standard
-    normal start, drawn from derive_rng(master_seed, *tags[k])."""
+    """The problems of specs, which share n and d, and their starts: problem
+    k, then its standard normal start, drawn from derive_rng(master_seed,
+    *tags[k]).  Each problem's X and y are written into slot k of one
+    (P, n, d) and one (P, n) array as it is drawn, and the problem keeps
+    views of its slots, so run_batch steps the group without a second copy."""
+    n, d = specs[0].n, specs[0].d
+    xs, ys = np.empty((len(specs), n, d)), np.empty((len(specs), n))
     problems, theta0 = [], []
-    for spec, problem_tags in zip(specs, tags):
+    for k, (spec, problem_tags) in enumerate(zip(specs, tags)):
         rng = derive_rng(master_seed, *problem_tags)
-        problems.append(generate_least_squares(spec, rng))
+        problem = generate_least_squares(spec, rng)
+        xs[k], ys[k] = problem.x, problem.y
+        problem.x, problem.y = xs[k], ys[k]
+        problems.append(problem)
         theta0.append(rng.standard_normal(spec.d))
     return problems, np.array(theta0)
 
@@ -757,13 +797,17 @@ def _draw(master_seed: int, specs: list[GenSpec],
 def _roster_rows(master_seed: int, problems: list[QuadraticProblem], tags: list[tuple],
                  roster: tuple[RosterEntry, ...], steps: int) -> list[BatchRow]:
     """One stochastic row per (problem, roster entry), problem-major: entry
-    i_opt's run on problems[k] samples with derive_rng(master_seed, *tags[k], i_opt)."""
+    i_opt's run on problems[k] samples with derive_rng(master_seed, *tags[k], i_opt).
+    The rows' indices are the consecutive rows of one (rows, steps) array of
+    the smallest integer type that holds them, which run_batch reads as is."""
+    indices = np.empty((len(problems) * len(roster), steps),
+                       np.min_scalar_type(max(p.n for p in problems) - 1))
     rows = []
     for k, (problem, run_tags) in enumerate(zip(problems, tags)):
         for i_opt, entry in enumerate(roster):
-            indices = derive_rng(master_seed, *run_tags, i_opt).integers(problem.n, size=steps)
-            indices = indices.astype(np.min_scalar_type(problem.n - 1))   # held for every run
-            rows.append(BatchRow(k, entry.algo, entry.config(problem.lambda_max), indices))
+            row = indices[len(rows)]
+            row[:] = derive_rng(master_seed, *run_tags, i_opt).integers(problem.n, size=steps)
+            rows.append(BatchRow(k, entry.algo, entry.config(problem.lambda_max), row))
     return rows
 
 
@@ -792,8 +836,8 @@ def _sweep(master_seed: int, cells: list[tuple], roster: tuple[RosterEntry, ...]
         raise ValueError("the sweep grid is empty")
     n, d = cells[0][0].n, cells[0][0].d
     index_bytes = np.min_scalar_type(n - 1).itemsize
-    per_run = 2 * index_bytes * steps + 8 * CHUNK_STEPS * (2 * d + 1)
-    per_problem = 16 * n * (d + 1) + per_run * len(roster)
+    per_run = index_bytes * steps + 8 * CHUNK_STEPS * (d + 1)
+    per_problem = 8 * n * (d + 1) + per_run * len(roster)
     fit = max(1, GROUP_BYTES // per_problem)
     count = min(len(cells), max(workers, math.ceil(len(cells) / fit)))
     bounds = [len(cells) * k // count for k in range(count + 1)]

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import optbench.experiments as experiments
 import optbench.problems as problems
+from optbench.cli import PRESETS
 from optbench.experiments import (
     ANGLE_ROSTER,
     BETA2,
@@ -78,10 +80,11 @@ def reference_trajectory(problem, algo, config, steps, theta0, rng=None, *, snap
     snaps = [theta.copy()] if snapshot_stride >= 1 else None
     ts, losses, etas, gnorms = [], [], [], []
     diverged = False
-    inv_n = 1.0 / problem.n
     for step_i in range(1, steps + 1):
-        if rng is not None:
-            g = problems.stochastic_gradient(problem, theta, rng) * inv_n
+        if rng is not None:   # the mean-loss estimate x_i (x_i . theta - y_i)
+            i = int(rng.integers(problem.n))
+            x_i = problem.x[i]
+            g = x_i * (np.vecdot(x_i, theta) - problem.y[i])
         else:
             g = problems.full_gradient(problem, theta)
         theta = opt.step(theta, g)
@@ -1099,6 +1102,44 @@ class TestSweeps:
         means = angle_means(records)
         assert len(means) == 6
         assert all(np.isfinite(v) for v in means.values())
+
+    @staticmethod
+    def heatmap_groups(monkeypatch, **params) -> list[tuple]:
+        """The _sweep_group items of a heatmap at these params, which are not run."""
+        items = []
+
+        def record(fn, groups, workers):
+            items.extend(groups)
+            return [(np.zeros((len(cells), len(roster))), np.zeros((len(cells), len(roster)), bool))
+                    for _, cells, roster, _ in groups]
+        monkeypatch.setattr(experiments, "_map_cells", record)
+        sweep_heatmap(0, **params, workers=1)
+        return items
+
+    @pytest.mark.parametrize("preset,groups", [("desk", 1), ("paper-fig3", 8)])
+    def test_the_heatmap_presets_keep_their_groups(self, monkeypatch, preset, groups):
+        assert len(self.heatmap_groups(monkeypatch, **PRESETS[preset]["heatmap"])) == groups
+
+    def test_a_group_holds_its_data_once(self, monkeypatch):
+        # The benchmark's sweep: 16 problems of 300 x 30, 4 runs each, 1500 steps.
+        p, n, d, runs, steps = 16, 300, 30, 64, 1500
+        grid = (1.0, 1e2, 1e4, 1e6)
+        [group] = self.heatmap_groups(monkeypatch, lambda_max_values=grid, cond_values=grid,
+                                      seeds=1, steps=steps, d=d, n=n)
+        # X and y once, each run's sample indices (uint16) and one chunk of x_i and y_i
+        held = 8 * p * n * (d + 1) + 2 * runs * steps + 8 * runs * experiments.CHUNK_STEPS * (d + 1)
+        # each problem's eigenfactors, optimum and start, eight (runs, d) arrays
+        # (parameters, g, optimizer moments, final parameters) and four n x d
+        # arrays of one problem's generation
+        slack = 8 * p * d * (d + 3) + 8 * 8 * runs * d + 4 * 8 * n * d
+        experiments._sweep_group(group)   # numpy's first calls allocate caches of their own
+        tracemalloc.start()
+        try:
+            experiments._sweep_group(group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + slack, (peak, held, slack)
 
     def test_heatmap_cell_means(self):
         records = [
